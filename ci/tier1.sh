@@ -148,3 +148,19 @@ assert d["kill_effective"] is True, f"no jobs were in flight at the kill: {d}"
 assert [leg["workers"] for leg in d["legs"]] == [1, 2, 8], \
     f"chaos resume must be proven at worker counts 1/2/8: {d}"
 EOF
+
+# Determinism gate: hot-path work must not change anything the attack
+# observes. A traced benchmark run prints a digest of every simulated
+# statistic it tallies (core, BTB and nv-obs counters, attack outputs),
+# checked identical at campaign threads 1 and 2; it must equal the value
+# pinned for each workload at seed 1.
+for pinned in nvs-extract:e43b46777d24f5b2 nvu-leak:7d5c6f24a0386ae1 serve-small:67f1c20a4532be6c; do
+    workload=${pinned%%:*}
+    out=$(cargo run --quiet --release --offline --manifest-path nvbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1)
+    digest=$(printf '%s\n' "$out" | sed -n 's/^# simulated-statistics digest \([0-9a-f]*\) .*/\1/p')
+    if [ "$digest" != "${pinned#*:}" ]; then
+        echo "$workload simulated-statistics digest '$digest' != pinned ${pinned#*:}" >&2
+        exit 1
+    fi
+done

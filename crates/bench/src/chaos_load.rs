@@ -23,7 +23,7 @@
 //! function of [`SEED_BASE`](crate::serve_load::SEED_BASE).
 
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use nv_serve::job::run_job;
@@ -32,17 +32,10 @@ use nv_serve::{
     RetryPolicy, Server, ServerConfig,
 };
 
-use crate::serve_load::{small_job, spawn_server, SEED_BASE};
+use crate::serve_load::{scratch_dir, small_job, spawn_server, SEED_BASE};
 
 /// Master seed for every fault schedule in the suite.
 pub const CHAOS_SEED: u64 = 0xc4a0_5eed;
-
-fn scratch_dir(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("nv_repro_chaos_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&path);
-    path
-}
 
 /// The fixed job population shared by the sweep and the baseline.
 fn population(jobs: usize, trials: usize) -> Vec<JobSpec> {
@@ -58,7 +51,7 @@ fn baseline_digests(specs: &[JobSpec], tag: &str) -> Vec<u64> {
         .iter()
         .enumerate()
         .map(|(i, spec)| {
-            let path = scratch_dir(&format!("base_{tag}_{i}")).with_extension("ckpt");
+            let path = scratch_dir(&format!("chaos_base_{tag}_{i}")).with_extension("ckpt");
             let report = run_job(0, spec, &path, None, |_| {}).expect("baseline job");
             let _ = std::fs::remove_file(&path);
             report.digest
@@ -110,7 +103,7 @@ pub fn intensity_sweep(intensities: &[f64], jobs: usize, trials: usize) -> Vec<C
 
     let mut cells = Vec::new();
     for (cell, &intensity) in intensities.iter().enumerate() {
-        let spool = scratch_dir(&format!("cell_{cell}"));
+        let spool = scratch_dir(&format!("chaos_cell_{cell}"));
         let mut config = ServerConfig::new(&spool);
         config.workers = 2;
         config.queue_cap = 1024;
@@ -300,7 +293,7 @@ pub fn kill_drill(
     let mut legs = Vec::new();
     let mut resumed_total = 0u64;
     for &workers in worker_counts {
-        let spool = scratch_dir(&format!("drill_w{workers}"));
+        let spool = scratch_dir(&format!("chaos_drill_w{workers}"));
         let (mut child, server_addr) = spawn_server(exe, &spool, workers);
         let plan = ChaosPlan::at_intensity(CHAOS_SEED ^ 0xd011 ^ workers as u64, intensity);
         let proxy = ChaosProxy::start(server_addr, plan).expect("start drill proxy");

@@ -20,6 +20,7 @@ use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -30,9 +31,14 @@ use nv_serve::{Client, JobSpec, Server, ServerConfig, Submission};
 /// Seed base for the demo job population.
 pub const SEED_BASE: u64 = 0x5e7_e000;
 
-fn scratch_dir(name: &str) -> PathBuf {
+/// A fresh scratch path under the temp directory, unique per call: the
+/// process id keeps concurrent processes apart and a process-wide counter
+/// keeps concurrent demos (e.g. tests on parallel threads) apart.
+pub(crate) fn scratch_dir(name: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut path = std::env::temp_dir();
-    path.push(format!("nv_repro_serve_{name}_{}", std::process::id()));
+    path.push(format!("nv_repro_{name}_{}_{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&path);
     path
 }
@@ -89,7 +95,7 @@ pub fn throughput_demo(
     clients: usize,
     workers: usize,
 ) -> ThroughputReport {
-    let spool = scratch_dir("throughput");
+    let spool = scratch_dir("serve_throughput");
     let mut config = ServerConfig::new(&spool);
     config.workers = workers;
     config.queue_cap = small_jobs + nvs_jobs + 1;
@@ -186,18 +192,45 @@ pub struct OverloadReport {
     pub census_balanced: bool,
 }
 
+/// Trials of the overload demo's blocker job. Each is a full NV-S
+/// extraction, tens of milliseconds, so uncancelled the blocker outlasts
+/// any flood by orders of magnitude. Once cancelled, each remaining trial
+/// stops at its first cancellation check.
+const BLOCKER_TRIALS: usize = 1_000;
+
 /// Floods a tiny queue until it bounces, then drains it.
+///
+/// Before the flood, a blocker job occupies the single worker until the
+/// flood is over, so no flood job can leave the queue while the flood
+/// runs: at most `queue_cap` of them (one more if the worker picks up the
+/// blocker mid-flood) are admitted, however fast the worker is. The
+/// blocker is then cancelled and stays out of the census.
 ///
 /// # Panics
 ///
 /// Panics on server I/O failure or an unexpected rejection reason.
 pub fn overload_demo(attempts: usize, trials: usize, queue_cap: usize) -> OverloadReport {
-    let spool = scratch_dir("overload");
+    let spool = scratch_dir("serve_overload");
     let mut config = ServerConfig::new(&spool);
     config.workers = 1;
     config.queue_cap = queue_cap;
     config.tenant_quota = attempts + 1;
     let server = Server::start(config).expect("start overload server");
+
+    let blocker = match Client::connect(server.addr())
+        .expect("connect blocker client")
+        .submit(
+            "blocker",
+            &JobSpec {
+                trials: BLOCKER_TRIALS,
+                ..JobSpec::nv_s(SEED_BASE ^ 0xb10c)
+            },
+        )
+        .expect("submit blocker")
+    {
+        Submission::Accepted { job, .. } => job,
+        Submission::Rejected(reason) => panic!("blocker rejected: {reason}"),
+    };
 
     let mut accepted = 0u64;
     let mut rejected = 0u64;
@@ -228,6 +261,10 @@ pub fn overload_demo(attempts: usize, trials: usize, queue_cap: usize) -> Overlo
         }
     }
     drop(live);
+    Client::connect(server.addr())
+        .expect("connect cancel client")
+        .cancel(blocker)
+        .expect("cancel blocker");
     assert!(
         server.wait_idle(Duration::from_secs(300)),
         "overload demo did not drain"
@@ -246,7 +283,7 @@ pub fn overload_demo(attempts: usize, trials: usize, queue_cap: usize) -> Overlo
         peak_queue_depth: stats.peak_queue_depth,
         rejections_typed: rejections_typed && rejected > 0,
         census_balanced: accepted + rejected == attempts as u64
-            && stats.submitted == accepted
+            && stats.submitted == accepted + 1
             && stats.completed == accepted
             && stats.peak_queue_depth <= queue_cap as u64,
     }
@@ -372,7 +409,7 @@ pub fn resume_demo(
         .iter()
         .enumerate()
         .map(|(i, spec)| {
-            let path = scratch_dir(&format!("baseline_{i}")).with_extension("ckpt");
+            let path = scratch_dir(&format!("serve_baseline_{i}")).with_extension("ckpt");
             let report = run_job(0, spec, &path, None, |_| {}).expect("baseline job");
             let _ = std::fs::remove_file(&path);
             report.digest
@@ -382,7 +419,7 @@ pub fn resume_demo(
     let mut legs = Vec::new();
     let mut resumed_total = 0u64;
     for &workers in worker_counts {
-        let spool = scratch_dir(&format!("resume_w{workers}"));
+        let spool = scratch_dir(&format!("serve_resume_w{workers}"));
 
         // Load the first life and SIGKILL it once at least one job (but
         // not, at these sizes, all of them) has finished.

@@ -143,7 +143,15 @@ pub struct AttackerRig {
     entry: VirtAddr,
     jmp_addrs: Vec<VirtAddr>,
     pws: Vec<PwSpec>,
-    baseline: Option<Vec<WindowBaseline>>,
+    /// Per-window thresholds from the last successful calibration; empty
+    /// until then (a rig always has at least one window).
+    baseline: Vec<WindowBaseline>,
+    /// Per window, the `(own, next)` elapsed fields of the last measured
+    /// pass. Reused across passes.
+    elapsed: Vec<(u64, u64)>,
+    /// Calibration samples, reused across calibrations: per window, its
+    /// `own` samples followed by its `next` samples, one per pass.
+    samples: Vec<u64>,
 }
 
 impl AttackerRig {
@@ -266,7 +274,9 @@ impl AttackerRig {
             entry,
             jmp_addrs,
             pws,
-            baseline: None,
+            baseline: Vec::new(),
+            elapsed: Vec::new(),
+            samples: Vec::new(),
         })
     }
 
@@ -342,30 +352,30 @@ impl AttackerRig {
 
     fn calibrate_with_inner(&mut self, core: &mut Core, passes: usize) -> Result<(), AttackError> {
         self.run_chain(core)?; // prime
-        let mut own_samples = vec![Vec::with_capacity(passes); self.pws.len()];
-        let mut next_samples = vec![Vec::with_capacity(passes); self.pws.len()];
-        for _ in 0..passes {
-            let elapsed = self.measured_pass(core)?;
-            for (window, (own, next)) in elapsed.into_iter().enumerate() {
-                own_samples[window].push(own);
-                next_samples[window].push(next);
+        self.samples.clear();
+        self.samples.resize(2 * passes * self.pws.len(), 0);
+        for pass in 0..passes {
+            self.measured_pass(core)?;
+            for (window, &(own, next)) in self.elapsed.iter().enumerate() {
+                let own_at = 2 * passes * window + pass;
+                self.samples[own_at] = own;
+                self.samples[own_at + passes] = next;
             }
         }
-        let baseline = own_samples
-            .iter_mut()
-            .zip(&mut next_samples)
-            .map(|(own, next)| {
-                let (own_floor, own_margin) = WindowBaseline::derive(own);
-                let (next_floor, next_margin) = WindowBaseline::derive(next);
-                WindowBaseline {
-                    own_floor,
-                    own_margin,
-                    next_floor,
-                    next_margin,
-                }
-            })
-            .collect();
-        self.baseline = Some(baseline);
+        // Only a calibration whose every pass succeeded replaces the
+        // previous baseline.
+        self.baseline.clear();
+        for window in self.samples.chunks_exact_mut(2 * passes) {
+            let (own, next) = window.split_at_mut(passes);
+            let (own_floor, own_margin) = WindowBaseline::derive(own);
+            let (next_floor, next_margin) = WindowBaseline::derive(next);
+            self.baseline.push(WindowBaseline {
+                own_floor,
+                own_margin,
+                next_floor,
+                next_margin,
+            });
+        }
         Ok(())
     }
 
@@ -387,11 +397,14 @@ impl AttackerRig {
     }
 
     fn probe_inner(&mut self, core: &mut Core) -> Result<Vec<bool>, AttackError> {
-        let baseline = self.baseline.clone().ok_or(AttackError::NotCalibrated)?;
-        let elapsed = self.measured_pass(core)?;
-        Ok(elapsed
+        if self.baseline.is_empty() {
+            return Err(AttackError::NotCalibrated);
+        }
+        self.measured_pass(core)?;
+        Ok(self
+            .elapsed
             .iter()
-            .zip(&baseline)
+            .zip(&self.baseline)
             .map(|(&(own, next), base)| {
                 // A *stolen* prediction squashes while the window's own
                 // snippet fetches (its jump's record); a *deallocated*
@@ -428,7 +441,7 @@ impl AttackerRig {
         mut replay: impl FnMut(&mut Core),
     ) -> Result<Vec<bool>, AttackError> {
         assert!(resilience.votes >= 1, "majority voting needs >= 1 vote");
-        if self.baseline.is_none() {
+        if self.baseline.is_empty() {
             return Err(AttackError::NotCalibrated);
         }
         let mut counts = vec![0usize; self.pws.len()];
@@ -480,14 +493,14 @@ impl AttackerRig {
             .collect())
     }
 
-    /// One chain execution with LBR measurement: returns, per window, the
-    /// elapsed-cycles fields of that window's jump record and of the
-    /// record following it.
-    fn measured_pass(&mut self, core: &mut Core) -> Result<Vec<(u64, u64)>, AttackError> {
+    /// One chain execution with LBR measurement: leaves in `self.elapsed`,
+    /// per window, the elapsed-cycles fields of that window's jump record
+    /// and of the record following it.
+    fn measured_pass(&mut self, core: &mut Core) -> Result<(), AttackError> {
         core.lbr_mut().clear();
         self.run_chain(core)?;
-        let records: Vec<_> = core.lbr().iter().copied().collect();
-        let mut elapsed = Vec::with_capacity(self.jmp_addrs.len());
+        let records = core.lbr();
+        self.elapsed.clear();
         // The chain executes the windows in address order, so each window's
         // records lie strictly after the previous window's: resume the
         // search there rather than from the front, so a stale duplicate
@@ -500,22 +513,24 @@ impl AttackerRig {
                 jump: Some(jmp),
                 cause,
             };
-            let idx = records[cursor..]
+            let idx = records
                 .iter()
+                .skip(cursor)
                 .position(|r| r.from == jmp)
                 .map(|i| cursor + i)
                 .ok_or_else(|| fail(ProbeFailureCause::LbrRecordMissing))?;
-            if records[idx + 1..].iter().any(|r| r.from == jmp) {
+            if records.iter().skip(idx + 1).any(|r| r.from == jmp) {
                 return Err(fail(ProbeFailureCause::LbrRecordAmbiguous));
             }
-            let own = records[idx].elapsed;
-            let next = records
-                .get(idx + 1)
+            let mut from_own = records.iter().skip(idx);
+            let own = from_own.next().expect("record found above").elapsed;
+            let next = from_own
+                .next()
                 .ok_or_else(|| fail(ProbeFailureCause::LbrRecordMissing))?;
-            elapsed.push((own, next.elapsed));
+            self.elapsed.push((own, next.elapsed));
             cursor = idx + 1;
         }
-        Ok(elapsed)
+        Ok(())
     }
 
     fn run_chain(&mut self, core: &mut Core) -> Result<(), AttackError> {

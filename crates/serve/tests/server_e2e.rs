@@ -116,8 +116,15 @@ fn tenant_quota_rejects_the_hog_not_the_neighbour() {
     config.queue_cap = 16;
     let server = Server::start(config).unwrap();
 
+    // The hog's first job is long (1000 NV-S extractions), so it is still
+    // active when the second arrives however fast the host runs jobs. It
+    // is cancelled before shutdown, which waits for running jobs.
     let mut first = Client::connect(server.addr()).unwrap();
-    let Submission::Accepted { .. } = first.submit("hog", &small_job(1)).unwrap() else {
+    let long_job = JobSpec {
+        trials: 1_000,
+        ..JobSpec::nv_s(1)
+    };
+    let Submission::Accepted { job: hog_job, .. } = first.submit("hog", &long_job).unwrap() else {
         panic!("first job must be admitted");
     };
     let mut second = Client::connect(server.addr()).unwrap();
@@ -134,6 +141,10 @@ fn tenant_quota_rejects_the_hog_not_the_neighbour() {
         Submission::Accepted { .. }
     ));
 
+    Client::connect(server.addr())
+        .unwrap()
+        .cancel(hog_job)
+        .unwrap();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&spool);
 }

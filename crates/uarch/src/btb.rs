@@ -67,17 +67,42 @@ impl BranchKind {
 /// the default for unhardened operation.
 pub type DomainId = u16;
 
-/// One BTB entry: a (truncated) branch location and its predicted target.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Entry {
-    tag: u64,
-    offset: u8,
+/// Key of an empty slot. Real keys are `tag << 5 | offset` with fewer than
+/// 64 significant bits ([`Btb::new`] rejects wider tags), so no lookup
+/// range can reach it.
+const INVALID: u64 = u64::MAX;
+
+/// One BTB slot: a (truncated) branch location and its predicted target.
+///
+/// The location is packed into one key, `tag << 5 | offset`, so that the
+/// Takeaway-2 range query over a set is a single subtract-and-compare per
+/// way. An empty slot's key is [`INVALID`]; its other fields are stale.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    key: u64,
     target: VirtAddr,
-    kind: BranchKind,
     /// Owning security domain (only consulted when isolation is enabled).
     domain: DomainId,
-    /// LRU timestamp: larger = more recently used.
-    stamp: u64,
+    kind: BranchKind,
+    /// Recency rank of the way within its set, 0 for the most recently
+    /// used. A set's ranks are always a permutation of `0..ways`, empty
+    /// ways included, so they order the ways exactly as last-use
+    /// timestamps would.
+    age: u16,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        key: INVALID,
+        target: VirtAddr::new(0),
+        domain: 0,
+        kind: BranchKind::DirectJump,
+        age: 0,
+    };
+
+    fn is_valid(&self) -> bool {
+        self.key != INVALID
+    }
 }
 
 /// A successful BTB lookup.
@@ -142,20 +167,63 @@ pub struct BtbStats {
 #[derive(Clone, Debug)]
 pub struct Btb {
     geometry: BtbGeometry,
-    sets: Vec<Vec<Option<Entry>>>,
-    clock: u64,
+    /// All `sets * ways` slots, set-major: way `w` of set `s` lives at
+    /// `s * ways + w`. Way order within a set is the tie-break order of
+    /// every search below: the first nearest hit, the first matching way,
+    /// the first free way.
+    slots: Vec<Slot>,
+    /// `sets - 1`: a PC's set is `(pc >> 5) & set_mask`.
+    set_mask: u64,
+    /// First tag bit, `5 + log2(sets)`.
+    tag_shift: u32,
+    /// The tag field's width mask, applied after shifting by `tag_shift`.
+    tag_mask: u64,
     stats: BtbStats,
     isolation: bool,
     domain: DomainId,
 }
 
+// The packed key and the 16-bit rank keep a slot within 24 bytes, so the
+// default 4096-entry BTB is a single 96 KiB allocation.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 24);
+
 impl Btb {
     /// Creates an empty BTB with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate: a set count that is not a
+    /// power of two, no ways or more than 65 536, a tag cutoff at or below
+    /// the set field, or a tag so wide that `tag << 5 | offset` needs all
+    /// 64 bits.
     pub fn new(geometry: BtbGeometry) -> Self {
+        assert!(
+            geometry.sets.is_power_of_two(),
+            "sets must be a power of two"
+        );
+        assert!(
+            (1..=1 << 16).contains(&geometry.ways),
+            "associativity must be 1..=65536"
+        );
+        let tag_shift = 5 + geometry.set_bits();
+        assert!(
+            geometry.tag_cutoff_bit > tag_shift,
+            "tag cutoff must lie above the set field"
+        );
+        let tag_bits = geometry.tag_cutoff_bit - tag_shift;
+        assert!(tag_bits + 5 < 64, "tag too wide to pack with its offset");
         Btb {
             geometry,
-            sets: vec![vec![None; geometry.ways]; geometry.sets],
-            clock: 0,
+            slots: (0..geometry.ways)
+                .map(|way| Slot {
+                    age: way as u16,
+                    ..Slot::EMPTY
+                })
+                .collect::<Vec<_>>()
+                .repeat(geometry.sets),
+            set_mask: geometry.sets as u64 - 1,
+            tag_shift,
+            tag_mask: (1 << tag_bits) - 1,
             stats: BtbStats::default(),
             isolation: false,
             domain: 0,
@@ -197,9 +265,59 @@ impl Btb {
         self.stats
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    /// Splits `pc` into its set index and packed `tag << 5 | offset` key —
+    /// [`BtbGeometry::decompose`] with the shifts and masks precomputed.
+    #[inline]
+    fn index(&self, pc: VirtAddr) -> (usize, u64) {
+        let pc = pc.value();
+        let set = ((pc >> 5) & self.set_mask) as usize;
+        let key = ((pc >> self.tag_shift) & self.tag_mask) << 5 | (pc & 0x1f);
+        (set, key)
+    }
+
+    /// The ways of `set`, in way order.
+    #[inline]
+    fn set(&self, set: usize) -> &[Slot] {
+        let ways = self.geometry.ways;
+        &self.slots[set * ways..(set + 1) * ways]
+    }
+
+    /// The ways of `set`, in way order, for update.
+    #[inline]
+    fn set_mut(&mut self, set: usize) -> &mut [Slot] {
+        let ways = self.geometry.ways;
+        &mut self.slots[set * ways..(set + 1) * ways]
+    }
+
+    /// Marks `way` of `set` as its most recently used way.
+    #[inline]
+    fn touch(&mut self, set: usize, way: usize) {
+        let ways = self.set_mut(set);
+        let age = ways[way].age;
+        if age == 0 {
+            // Already the most recent: the common case when an entry is
+            // hit and then updated by the same branch.
+            return;
+        }
+        for slot in ways.iter_mut() {
+            if slot.age < age {
+                slot.age += 1;
+            }
+        }
+        ways[way].age = 0;
+    }
+
+    /// Position of `(set, way)` in the slot array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set`/`way` lie outside the geometry.
+    fn slot_index(&self, set: usize, way: usize) -> usize {
+        assert!(
+            set < self.geometry.sets && way < self.geometry.ways,
+            "({set}, {way}) lies outside the BTB"
+        );
+        set * self.geometry.ways + way
     }
 
     /// Range-semantics lookup for fetch PC `pc` (Takeaway 2).
@@ -208,53 +326,46 @@ impl Btb {
     /// smallest one ≥ `pc`'s block offset. Updates LRU state of the selected
     /// entry.
     pub fn lookup(&mut self, pc: VirtAddr) -> Option<BtbHit> {
-        let (set, tag, offset) = self.geometry.decompose(pc);
-        let mut best: Option<(usize, u8)> = None;
-        for (way, slot) in self.sets[set].iter().enumerate() {
-            if let Some(entry) = slot {
-                if self.isolation && entry.domain != self.domain {
-                    continue;
-                }
-                if entry.tag == tag && entry.offset >= offset {
-                    match best {
-                        Some((_, best_offset)) if best_offset <= entry.offset => {}
-                        _ => best = Some((way, entry.offset)),
-                    }
-                }
+        let (set, lo) = self.index(pc);
+        // The keys with `pc`'s tag and an offset at or after `pc`'s are
+        // exactly `lo ..= lo + 31 - offset(pc)`; the distance from `lo` is
+        // how far into the block the entry sits past `pc`. Empty slots and
+        // other tags land far outside that range. Only a strictly nearer
+        // entry displaces the best so far, so the first way wins ties.
+        let beyond = 0x20 - (lo & 0x1f);
+        let (mut way, mut distance) = (0, beyond);
+        let (isolation, domain) = (self.isolation, self.domain);
+        for (w, slot) in self.set(set).iter().enumerate() {
+            let d = slot.key.wrapping_sub(lo);
+            if d < distance && (!isolation || slot.domain == domain) {
+                (way, distance) = (w, d);
             }
         }
-        match best {
-            Some((way, entry_offset)) => {
-                let stamp = self.tick();
-                let entry = self.sets[set][way].as_mut().expect("hit entry is valid");
-                entry.stamp = stamp;
-                let branch_pc = pc.block_base().offset(entry_offset as u64);
-                self.stats.hits += 1;
-                Some(BtbHit {
-                    set,
-                    way,
-                    branch_pc,
-                    target: entry.target,
-                    kind: entry.kind,
-                })
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        if distance == beyond {
+            self.stats.misses += 1;
+            return None;
         }
+        self.touch(set, way);
+        self.stats.hits += 1;
+        let slot = &self.slots[self.slot_index(set, way)];
+        Some(BtbHit {
+            set,
+            way,
+            branch_pc: pc.offset(distance),
+            target: slot.target,
+            kind: slot.kind,
+        })
     }
 
     /// Exact-match query: is there an entry whose recorded location equals
     /// `pc` (same set, tag *and* offset)? Does not touch LRU or stats.
     /// Primarily for tests and introspection.
     pub fn entry_at(&self, pc: VirtAddr) -> Option<(usize, usize)> {
-        let (set, tag, offset) = self.geometry.decompose(pc);
-        self.sets[set].iter().enumerate().find_map(|(way, slot)| {
-            slot.as_ref()
-                .filter(|e| e.tag == tag && e.offset == offset)
-                .map(|_| (set, way))
-        })
+        let (set, key) = self.index(pc);
+        self.set(set)
+            .iter()
+            .position(|slot| slot.key == key)
+            .map(|way| (set, way))
     }
 
     /// Allocates (or updates) the entry for a taken branch whose recorded
@@ -268,51 +379,53 @@ impl Btb {
     /// If an entry with the same set/tag/offset exists it is overwritten in
     /// place; otherwise an invalid way is used, or the LRU way is evicted.
     pub fn allocate(&mut self, pc: VirtAddr, target: VirtAddr, kind: BranchKind) {
-        let (set, tag, offset) = self.geometry.decompose(pc);
-        let stamp = self.tick();
-        let new_entry = Entry {
-            tag,
-            offset,
-            target,
-            kind,
-            domain: self.domain,
-            stamp,
-        };
-        let ways = &mut self.sets[set];
+        let (set, key) = self.index(pc);
+        let (isolation, domain) = (self.isolation, self.domain);
+        let ways = self.set(set);
         // In-place update of a matching entry (within the same domain when
-        // isolation is enabled; cross-domain aliases coexist in other ways).
-        let isolation = self.isolation;
-        let domain = self.domain;
-        if let Some(slot) = ways.iter_mut().find(|slot| {
-            matches!(slot, Some(e) if e.tag == tag && e.offset == offset
-                && (!isolation || e.domain == domain))
-        }) {
-            *slot = Some(new_entry);
-            self.stats.allocations += 1;
-            return;
-        }
-        // Free way.
-        if let Some(slot) = ways.iter_mut().find(|slot| slot.is_none()) {
-            *slot = Some(new_entry);
-            self.stats.allocations += 1;
-            return;
-        }
-        // LRU eviction.
-        let victim = ways
+        // isolation is enabled; cross-domain aliases coexist in other ways),
+        // else a free way, else the LRU way.
+        let way = ways
             .iter()
-            .enumerate()
-            .min_by_key(|(_, slot)| slot.as_ref().map(|e| e.stamp).unwrap_or(0))
-            .map(|(way, _)| way)
-            .expect("nonzero associativity");
-        ways[victim] = Some(new_entry);
+            .position(|slot| slot.key == key && (!isolation || slot.domain == domain))
+            .or_else(|| ways.iter().position(|slot| !slot.is_valid()));
+        let way = match way {
+            Some(way) => way,
+            None => {
+                let lru = ways
+                    .iter()
+                    .position(|slot| usize::from(slot.age) == ways.len() - 1)
+                    .expect("a set's ranks are a permutation of its ways");
+                self.stats.evictions += 1;
+                lru
+            }
+        };
+        let index = self.slot_index(set, way);
+        let slot = &mut self.slots[index];
+        *slot = Slot {
+            key,
+            target,
+            domain,
+            kind,
+            age: slot.age,
+        };
+        self.touch(set, way);
         self.stats.allocations += 1;
-        self.stats.evictions += 1;
+    }
+
+    /// Empties the slot at `(set, way)`, returning whether it held an entry.
+    fn invalidate(&mut self, set: usize, way: usize) -> bool {
+        let index = self.slot_index(set, way);
+        let slot = &mut self.slots[index];
+        let was_valid = slot.is_valid();
+        slot.key = INVALID;
+        was_valid
     }
 
     /// Deallocates the entry at `(set, way)` — the false-hit response
     /// (Takeaway 1). Idempotent.
     pub fn deallocate(&mut self, set: usize, way: usize) {
-        if self.sets[set][way].take().is_some() {
+        if self.invalidate(set, way) {
             self.stats.deallocations += 1;
         }
     }
@@ -327,21 +440,18 @@ impl Btb {
     ///
     /// Panics if `set`/`way` lie outside the geometry.
     pub fn evict_entry(&mut self, set: usize, way: usize) -> bool {
-        if self.sets[set][way].take().is_some() {
+        let evicted = self.invalidate(set, way);
+        if evicted {
             self.stats.external_evictions += 1;
-            true
-        } else {
-            false
         }
+        evicted
     }
 
     /// Invalidates every entry (a full BTB flush, e.g. the cleanup routine
     /// the paper borrows from BranchScope).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for slot in set {
-                *slot = None;
-            }
+        for slot in &mut self.slots {
+            slot.key = INVALID;
         }
     }
 
@@ -349,35 +459,34 @@ impl Btb {
     /// entries**, per Intel's documented behaviour (§4.1). Direct-jump and
     /// conditional-branch entries — the ones NightVision uses — survive.
     pub fn indirect_predictor_barrier(&mut self) {
-        for set in &mut self.sets {
-            for slot in set {
-                if matches!(slot, Some(e) if e.kind.is_indirect()) {
-                    *slot = None;
-                }
+        for slot in &mut self.slots {
+            if slot.is_valid() && slot.kind.is_indirect() {
+                slot.key = INVALID;
             }
         }
     }
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|ways| ways.iter().filter(|slot| slot.is_some()).count())
-            .sum()
+        self.slots.iter().filter(|slot| slot.is_valid()).count()
     }
 
     /// Iterates over the recorded `(branch_low_bits, target, kind)` of all
     /// valid entries, reconstructing the low (truncated) address bits of
     /// each recorded branch. For tests and debugging.
     pub fn valid_entries(&self) -> Vec<(u64, VirtAddr, BranchKind)> {
-        let set_bits = self.geometry.set_bits();
-        let mut out = Vec::new();
-        for (set, ways) in self.sets.iter().enumerate() {
-            for entry in ways.iter().flatten() {
-                let low = (entry.tag << (5 + set_bits)) | ((set as u64) << 5) | entry.offset as u64;
-                out.push((low, entry.target, entry.kind));
-            }
-        }
+        let ways = self.geometry.ways;
+        let mut out: Vec<_> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_valid())
+            .map(|(index, slot)| {
+                let set = (index / ways) as u64;
+                let low = (slot.key >> 5) << self.tag_shift | set << 5 | (slot.key & 0x1f);
+                (low, slot.target, slot.kind)
+            })
+            .collect();
         out.sort_by_key(|&(low, _, _)| low);
         out
     }

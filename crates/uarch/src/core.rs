@@ -207,11 +207,24 @@ pub struct CoreStats {
     pub speculated: u64,
 }
 
-/// Outcome of the internal per-instruction front-end pass.
-struct ExecStep {
+/// Outcome of the internal per-instruction front-end pass. The instruction
+/// is borrowed from the pre-decoded image rather than copied.
+#[derive(Clone, Copy)]
+struct ExecStep<'a> {
     pc: VirtAddr,
-    inst: Inst,
+    inst: &'a Inst,
     outcome: ExecOutcome,
+}
+
+impl ExecStep<'_> {
+    fn retired(self) -> RetiredInst {
+        RetiredInst {
+            pc: self.pc,
+            inst: *self.inst,
+            taken: self.outcome.control.taken_target(),
+            mem_access: self.outcome.mem_access,
+        }
+    }
 }
 
 /// The simulated core.
@@ -467,79 +480,77 @@ impl Core {
     /// `cmp/test + jcc` pair when fusion is enabled (§7.3).
     pub fn step(&mut self, machine: &mut Machine) -> StepResult {
         let cycle_before = self.cycle;
-        let (image, state, memory) = machine.parts_mut();
-        let mut result = StepResult {
-            first: None,
-            second: None,
-            syscall: None,
-            halted: false,
-            fault: None,
-            cycles: 0,
-        };
-        let step1 = match self.exec_one(image, state, memory, false) {
-            Ok(step) => step,
-            Err(err) => {
-                result.fault = Some(err);
-                return result;
-            }
-        };
-        self.stats.steps += 1;
-        self.stats.retired += 1;
-        result.first = Some(RetiredInst {
-            pc: step1.pc,
-            inst: step1.inst,
-            taken: step1.outcome.control.taken_target(),
-            mem_access: step1.outcome.mem_access,
-        });
-        result.syscall = step1.outcome.syscall;
-        result.halted = step1.outcome.halt;
+        match self.retire(machine) {
+            Ok((first, second)) => StepResult {
+                first: Some(first.retired()),
+                second: second.map(ExecStep::retired),
+                syscall: first.outcome.syscall,
+                halted: first.outcome.halt,
+                fault: None,
+                cycles: self.cycle - cycle_before,
+            },
+            // A fetch fault retires nothing and reports no cycles, even if
+            // the front end charged a squash before decode failed.
+            Err(fault) => StepResult {
+                first: None,
+                second: None,
+                syscall: None,
+                halted: false,
+                fault: Some(*fault),
+                cycles: 0,
+            },
+        }
+    }
 
-        // Macro-fusion: a flag-setting compare/test retires together with an
-        // immediately following conditional branch in the same 64-byte line.
-        if self.config.fusion
-            && step1.inst.is_fusible_flag_setter()
-            && result.syscall.is_none()
-            && !result.halted
-        {
-            let next_pc = state.pc();
-            let same_line = next_pc.value() / 64 == step1.pc.value() / 64;
-            if same_line {
-                if let Ok(next_inst) = image.decode_at(next_pc) {
-                    if next_inst.kind() == InstKind::CondBranch {
-                        if let Ok(step2) = self.exec_one(image, state, memory, false) {
-                            self.stats.retired += 1;
-                            self.stats.fused_pairs += 1;
-                            result.second = Some(RetiredInst {
-                                pc: step2.pc,
-                                inst: step2.inst,
-                                taken: step2.outcome.control.taken_target(),
-                                mem_access: step2.outcome.mem_access,
-                            });
-                        }
+    /// Runs until halt, syscall, fault or `max_steps` retirement units.
+    ///
+    /// Exactly `max_steps` calls of [`Core::step`] stopping at the first
+    /// fault, halt or syscall, without building their [`StepResult`]s.
+    pub fn run(&mut self, machine: &mut Machine, max_steps: u64) -> RunExit {
+        for _ in 0..max_steps {
+            match self.retire(machine) {
+                Err(fault) => return RunExit::Fault(*fault),
+                Ok((first, _)) if first.outcome.halt => return RunExit::Halted,
+                Ok((first, _)) => {
+                    if let Some(code) = first.outcome.syscall {
+                        return RunExit::Syscall(code);
                     }
                 }
             }
         }
-
-        result.cycles = self.cycle - cycle_before;
-        result
+        RunExit::StepLimit
     }
 
-    /// Runs until halt, syscall, fault or `max_steps` retirement units.
-    pub fn run(&mut self, machine: &mut Machine, max_steps: u64) -> RunExit {
-        for _ in 0..max_steps {
-            let step = self.step(machine);
-            if let Some(fault) = step.fault {
-                return RunExit::Fault(fault);
-            }
-            if step.halted {
-                return RunExit::Halted;
-            }
-            if let Some(code) = step.syscall {
-                return RunExit::Syscall(code);
-            }
+    /// The retirement unit shared by [`Core::step`] and [`Core::run`]: the
+    /// leading instruction and, when it macro-fuses with an immediately
+    /// following conditional branch in the same 64-byte line, that branch.
+    #[inline]
+    fn retire<'m>(
+        &mut self,
+        machine: &'m mut Machine,
+    ) -> Result<(ExecStep<'m>, Option<ExecStep<'m>>), Box<IsaError>> {
+        let (image, state, memory) = machine.parts_mut();
+        let first = self.exec_one(image, state, memory, false)?;
+        self.stats.steps += 1;
+        self.stats.retired += 1;
+        let fuses = self.config.fusion
+            && first.inst.is_fusible_flag_setter()
+            && first.outcome.syscall.is_none()
+            && !first.outcome.halt
+            && state.pc().value() / 64 == first.pc.value() / 64
+            && image
+                .get(state.pc())
+                .is_some_and(|(next, _)| next.kind() == InstKind::CondBranch);
+        let second = if fuses {
+            self.exec_one(image, state, memory, false).ok()
+        } else {
+            None
+        };
+        if second.is_some() {
+            self.stats.retired += 1;
+            self.stats.fused_pairs += 1;
         }
-        RunExit::StepLimit
+        Ok((first, second))
     }
 
     /// Models the front end running ahead of a single-stepped instruction:
@@ -623,13 +634,13 @@ impl Core {
     /// describe architectural retirement, but *keeps* BTB state changes —
     /// the paper's key point is that deallocation happens at decode, before
     /// retirement (§2.2).
-    fn exec_one<M: Bus>(
+    fn exec_one<'i, M: Bus>(
         &mut self,
-        image: &DecodedImage,
+        image: &'i DecodedImage,
         state: &mut ArchState,
         mem: &mut M,
         speculative: bool,
-    ) -> Result<ExecStep, IsaError> {
+    ) -> Result<ExecStep<'i>, Box<IsaError>> {
         let pc = state.pc();
 
         // (0) Fault injection: the outside world (competing processes,
@@ -717,8 +728,16 @@ impl Core {
         }
 
         // (2) Decode (from the pre-decoded image — one table hit).
-        let inst = image.decode_at(pc)?;
-        let len = inst.len() as u64;
+        let Some((inst, len)) = image.entry(pc) else {
+            // A fetch fault is the cold path: the precise error comes from
+            // the uncached decoder, boxed to keep the hot path's return
+            // value small.
+            let fault = image
+                .decode_at(pc)
+                .expect_err("the decode cache covers every decodable byte");
+            return Err(Box::new(fault));
+        };
+        let len = u64::from(*len);
         let last_byte = pc.offset(len - 1);
 
         let timing = self.config.timing;
@@ -774,7 +793,7 @@ impl Core {
         }
 
         // (3) Execute architecturally.
-        let outcome = execute(&inst, state, mem);
+        let outcome = execute(inst, state, mem);
 
         // (4) Resolve the (bundle-verified) prediction against reality.
         let mut penalty = 0u64;
@@ -937,7 +956,7 @@ impl Core {
         // (§2.3): the penalty lands in the following record's interval.
         if !speculative {
             let mut cost = timing.base_cost;
-            if matches!(inst, Inst::MulRr(..)) {
+            if matches!(*inst, Inst::MulRr(..)) {
                 cost += timing.mul_extra;
             }
             if outcome.mem_access.is_some() {

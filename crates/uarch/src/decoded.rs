@@ -89,17 +89,19 @@ impl DecodedImage {
     /// the image.
     #[inline]
     pub fn get(&self, addr: VirtAddr) -> Option<(Inst, u8)> {
+        self.entry(addr).copied()
+    }
+
+    /// [`DecodedImage::get`] by reference, for the core's fetch path.
+    #[inline]
+    pub(crate) fn entry(&self, addr: VirtAddr) -> Option<&(Inst, u8)> {
         // Tables are sorted by base (the program sorts its segments); find
         // the last table starting at or before addr, mirroring
         // Program::read_byte so cached and uncached lookups agree even for
         // degenerate (empty-segment) layouts.
         let idx = self.tables.partition_point(|table| table.base <= addr);
         let table = &self.tables[idx.checked_sub(1)?];
-        table
-            .entries
-            .get((addr - table.base) as usize)
-            .copied()
-            .flatten()
+        table.entries.get((addr - table.base) as usize)?.as_ref()
     }
 
     /// Decodes the instruction at `addr`, from the cache.
