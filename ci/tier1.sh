@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The wide BTB-reference sweep and the run == step and decode/bundle
+# differentials gate every hot-path edit (about 12 s with the build).
+cargo test -q --release --offline -p nv-uarch --features proptest
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

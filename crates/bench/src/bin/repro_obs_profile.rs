@@ -19,7 +19,8 @@
 //! `chrome://tracing`.
 //!
 //! Flags: `--trials N` (default 24), `--threads N`, `--rounds N`
-//! (overhead bench rounds, default 3), `--smoke` (few trials, outputs
+//! (overhead bench rounds of 10 alternating batch pairs, default 3),
+//! `--smoke` (few trials, outputs
 //! under `target/` so CI does not dirty the checked-in baseline).
 
 use nv_bench::obs_profile::{

@@ -13,9 +13,13 @@
 //!   [`Campaign::run_observed`], whose merged [`Metrics`] are
 //!   byte-identical for any thread count;
 //! * a **disabled-overhead report** — the GCD simulation benchmarked
-//!   with no recorder vs. an attached-but-disabled recorder, interleaved
-//!   min-of-rounds so scheduler noise cannot manufacture (or hide) a
-//!   regression. The ratio must stay within [`OVERHEAD_LIMIT`].
+//!   with no recorder vs. an attached-but-disabled recorder, in many
+//!   short alternating batch pairs, min-of per arm, so scheduler noise
+//!   cannot manufacture (or hide) a regression. The ratio must stay
+//!   within [`OVERHEAD_LIMIT`].
+
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use nightvision::campaign::Campaign;
 use nightvision::{NvCore, NvSupervisor, PwSpec, Resilience, SupervisorConfig};
@@ -24,8 +28,6 @@ use nv_obs::{Metrics, Recorder};
 use nv_os::Enclave;
 use nv_uarch::{Core, Machine, Perturbation, UarchConfig};
 use nv_victims::compile::{compile_gcd, CompileOptions};
-
-use crate::microbench;
 
 /// Event-ring capacity for the profiles: large enough that the smoke
 /// profile keeps every record, bounded so a full run cannot balloon.
@@ -165,32 +167,64 @@ impl OverheadReport {
     }
 }
 
-/// Benchmarks the GCD simulation `rounds` interleaved times per arm
-/// (plain core vs. disabled recorder attached) and keeps each arm's
-/// *minimum* ns/iter — the run least disturbed by the scheduler — so a
-/// single preemption cannot manufacture a phantom regression.
+/// Batch pairs per round of [`measure_disabled_overhead`].
+const PAIRS_PER_ROUND: usize = 10;
+
+/// Target wall time of one arm's batch.
+const BATCH: Duration = Duration::from_millis(10);
+
+/// Benchmarks the GCD simulation on a plain core against the same core
+/// with a disabled recorder attached, in `rounds` × `PAIRS_PER_ROUND` (10)
+/// pairs of short batches, and keeps each arm's *minimum* ns/iter.
+///
+/// The two batches of a pair are interleaved run by run, so both arms see
+/// the same host noise, and with many short pairs both catch the quiet
+/// moments. Both arms run on one core and one machine — the recorder is
+/// attached and detached around the disabled arm's runs, outside the
+/// timing — because on a shared host the memory layout alone moves two
+/// otherwise identical cores apart by several percent.
 pub fn measure_disabled_overhead(rounds: usize) -> OverheadReport {
-    let program = gcd_program();
-    let mut baseline_ns = f64::INFINITY;
-    let mut disabled_ns = f64::INFINITY;
-    for _ in 0..rounds.max(1) {
-        let plain = microbench::measure("obs_overhead", "gcd_plain", || {
-            let mut machine = Machine::new(program.clone());
-            let mut core = Core::new(UarchConfig::default());
-            core.run(&mut machine, 1_000_000)
-        });
-        baseline_ns = baseline_ns.min(plain.ns_per_iter);
-        let observed = microbench::measure("obs_overhead", "gcd_disabled_obs", || {
-            let mut machine = Machine::new(program.clone());
-            let mut core = Core::new(UarchConfig::default());
+    let mut machine = Machine::new(gcd_program());
+    let mut core = Core::new(UarchConfig::default());
+    let mut timed_run = |observed: bool| {
+        if observed {
             core.attach_obs(Recorder::disabled());
-            core.run(&mut machine, 1_000_000)
-        });
-        disabled_ns = disabled_ns.min(observed.ns_per_iter);
+        }
+        machine.reset();
+        let start = Instant::now();
+        black_box(core.run(&mut machine, 1_000_000));
+        let elapsed = start.elapsed();
+        if observed {
+            core.detach_obs();
+        }
+        elapsed
+    };
+    // Warm up, then size the batches from the fastest of a few runs.
+    timed_run(true);
+    let single = (0..3).map(|_| timed_run(false)).min().expect("three runs");
+    let runs = (BATCH.as_nanos() / single.as_nanos().max(1)).clamp(1, 1_000_000) as u32;
+    let mut baseline = Duration::MAX;
+    let mut disabled = Duration::MAX;
+    for _ in 0..rounds.max(1) * PAIRS_PER_ROUND {
+        let (mut plain_batch, mut disabled_batch) = (Duration::ZERO, Duration::ZERO);
+        for run in 0..runs {
+            // Alternate which arm goes first, so neither always runs in
+            // the other's wake.
+            if run % 2 == 0 {
+                plain_batch += timed_run(false);
+                disabled_batch += timed_run(true);
+            } else {
+                disabled_batch += timed_run(true);
+                plain_batch += timed_run(false);
+            }
+        }
+        baseline = baseline.min(plain_batch);
+        disabled = disabled.min(disabled_batch);
     }
+    let ns_per_iter = |batch: Duration| batch.as_nanos() as f64 / f64::from(runs);
     OverheadReport {
-        baseline_ns,
-        disabled_ns,
+        baseline_ns: ns_per_iter(baseline),
+        disabled_ns: ns_per_iter(disabled),
     }
 }
 

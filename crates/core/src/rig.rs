@@ -11,7 +11,7 @@
 
 use nv_isa::{Assembler, Program, VirtAddr};
 use nv_obs::Phase;
-use nv_uarch::{Core, Machine, RunExit, LBR_DEPTH};
+use nv_uarch::{Core, LbrRecord, Machine, RunExit, LBR_DEPTH};
 
 use crate::error::{AttackError, ProbeFailureCause};
 use crate::pw::{PwSpec, DEFAULT_ALIAS_DISTANCE};
@@ -499,38 +499,13 @@ impl AttackerRig {
     fn measured_pass(&mut self, core: &mut Core) -> Result<(), AttackError> {
         core.lbr_mut().clear();
         self.run_chain(core)?;
-        let records = core.lbr();
-        self.elapsed.clear();
-        // The chain executes the windows in address order, so each window's
-        // records lie strictly after the previous window's: resume the
-        // search there rather than from the front, so a stale duplicate
-        // record (possible under retried/interrupted passes) can never be
-        // silently matched in place of the current pass's record.
-        let mut cursor = 0usize;
-        for (window, &jmp) in self.jmp_addrs.iter().enumerate() {
-            let fail = |cause| AttackError::ProbeFailed {
+        read_windows(core.lbr().as_slices(), &self.jmp_addrs, &mut self.elapsed).map_err(
+            |(window, cause)| AttackError::ProbeFailed {
                 window: Some(window),
-                jump: Some(jmp),
+                jump: Some(self.jmp_addrs[window]),
                 cause,
-            };
-            let idx = records
-                .iter()
-                .skip(cursor)
-                .position(|r| r.from == jmp)
-                .map(|i| cursor + i)
-                .ok_or_else(|| fail(ProbeFailureCause::LbrRecordMissing))?;
-            if records.iter().skip(idx + 1).any(|r| r.from == jmp) {
-                return Err(fail(ProbeFailureCause::LbrRecordAmbiguous));
-            }
-            let mut from_own = records.iter().skip(idx);
-            let own = from_own.next().expect("record found above").elapsed;
-            let next = from_own
-                .next()
-                .ok_or_else(|| fail(ProbeFailureCause::LbrRecordMissing))?;
-            self.elapsed.push((own, next.elapsed));
-            cursor = idx + 1;
-        }
-        Ok(())
+            },
+        )
     }
 
     fn run_chain(&mut self, core: &mut Core) -> Result<(), AttackError> {
@@ -554,6 +529,49 @@ impl AttackerRig {
             _ => Err(AttackError::probe_failed(ProbeFailureCause::ChainWedged)),
         }
     }
+}
+
+/// Reads one measured pass back from the LBR records, given oldest to
+/// newest as the ring's two contiguous runs ([`nv_uarch::Lbr::as_slices`]):
+/// replaces `elapsed` with, per window in chain order, the elapsed-cycles
+/// fields of the record of its jump `jmps[window]` and of the record after
+/// it.
+///
+/// The chain executes the windows in address order, so each window's
+/// records lie strictly after the previous window's: the search for a
+/// window's jump resumes there rather than at the front, so a stale
+/// duplicate record (possible under retried/interrupted passes) can never
+/// be silently matched in place of the current pass's record.
+///
+/// # Errors
+///
+/// The first failing window, in chain order, with its cause:
+/// [`ProbeFailureCause::LbrRecordMissing`] if no record of its jump follows
+/// the previous window's, or no record follows its jump's;
+/// [`ProbeFailureCause::LbrRecordAmbiguous`] if a second record of its jump
+/// follows the matched one.
+fn read_windows(
+    (older, newer): (&[LbrRecord], &[LbrRecord]),
+    jmps: &[VirtAddr],
+    elapsed: &mut Vec<(u64, u64)>,
+) -> Result<(), (usize, ProbeFailureCause)> {
+    let len = older.len() + newer.len();
+    let at = |i: usize| older.get(i).unwrap_or_else(|| &newer[i - older.len()]);
+    elapsed.clear();
+    let mut cursor = 0;
+    for (window, &jmp) in jmps.iter().enumerate() {
+        let missing = (window, ProbeFailureCause::LbrRecordMissing);
+        let idx = (cursor..len).find(|&i| at(i).from == jmp).ok_or(missing)?;
+        if (idx + 1..len).any(|i| at(i).from == jmp) {
+            return Err((window, ProbeFailureCause::LbrRecordAmbiguous));
+        }
+        if idx + 1 == len {
+            return Err(missing);
+        }
+        elapsed.push((at(idx).elapsed, at(idx + 1).elapsed));
+        cursor = idx + 1;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -901,5 +919,100 @@ mod tests {
         // attacker cannot distinguish a flush from a victim touch, i.e.
         // the channel is jammed.
         assert_eq!(rig.probe(&mut core).unwrap(), vec![true]);
+    }
+
+    /// LBR records `from -> from + 1`, each with `elapsed` equal to its
+    /// position, so readouts name the records they picked.
+    fn records(froms: &[u64]) -> Vec<LbrRecord> {
+        froms
+            .iter()
+            .enumerate()
+            .map(|(i, &from)| LbrRecord {
+                from: VirtAddr::new(from),
+                to: VirtAddr::new(from + 1),
+                cycle: i as u64,
+                elapsed: i as u64,
+                mispredicted: false,
+            })
+            .collect()
+    }
+
+    /// [`read_windows`] on `froms`, checked to give the same answer at
+    /// every split of the records into the ring's two runs.
+    fn read(froms: &[u64], jmps: &[u64]) -> Result<Vec<(u64, u64)>, (usize, ProbeFailureCause)> {
+        let records = records(froms);
+        let jmps: Vec<VirtAddr> = jmps.iter().copied().map(VirtAddr::new).collect();
+        let mut results = (0..=records.len()).map(|split| {
+            let mut elapsed = vec![(7, 7)];
+            read_windows(records.split_at(split), &jmps, &mut elapsed).map(|()| elapsed)
+        });
+        let first = results.next().expect("at least one split");
+        assert!(results.all(|r| r == first), "split changed the readout");
+        first
+    }
+
+    #[test]
+    fn readout_picks_each_jump_and_its_successor() {
+        // call, then per window its jump and trampoline; a stale record of
+        // window 1's jump *before* window 0's is skipped, not ambiguous.
+        let froms = [0x20, 0x99, 0x10, 0x11, 0x20, 0x21, 0x30];
+        assert_eq!(read(&froms, &[0x10, 0x20]), Ok(vec![(2, 3), (4, 5)]));
+    }
+
+    #[test]
+    fn readout_without_a_jump_record_is_missing() {
+        let missing = Err((0, ProbeFailureCause::LbrRecordMissing));
+        assert_eq!(read(&[], &[0x10]), missing);
+        assert_eq!(read(&[0x30, 0x31], &[0x10]), missing);
+        // Window 1's only jump record precedes window 0's.
+        assert_eq!(
+            read(&[0x20, 0x10, 0x11], &[0x10, 0x20]),
+            Err((1, ProbeFailureCause::LbrRecordMissing))
+        );
+    }
+
+    #[test]
+    fn readout_with_the_jump_as_last_record_is_missing() {
+        assert_eq!(
+            read(&[0x10, 0x11, 0x20], &[0x10, 0x20]),
+            Err((1, ProbeFailureCause::LbrRecordMissing))
+        );
+    }
+
+    #[test]
+    fn readout_with_a_duplicate_after_the_match_is_ambiguous() {
+        assert_eq!(
+            read(&[0x10, 0x11, 0x20, 0x21, 0x20, 0x22], &[0x10, 0x20]),
+            Err((1, ProbeFailureCause::LbrRecordAmbiguous))
+        );
+        // A duplicate right after the match is as ambiguous.
+        assert_eq!(
+            read(&[0x10, 0x10, 0x11], &[0x10]),
+            Err((0, ProbeFailureCause::LbrRecordAmbiguous))
+        );
+        // The earlier window's failure wins over a later window's: window
+        // 0 is ambiguous before window 1 would be found missing.
+        assert_eq!(
+            read(&[0x10, 0x11, 0x10, 0x12], &[0x10, 0x20]),
+            Err((0, ProbeFailureCause::LbrRecordAmbiguous))
+        );
+    }
+
+    #[test]
+    fn readout_of_a_real_pass_with_a_trailing_duplicate_is_ambiguous() {
+        let pws = vec![
+            PwSpec::new(VirtAddr::new(0x40_0100), 16).unwrap(),
+            PwSpec::new(VirtAddr::new(0x40_0140), 16).unwrap(),
+        ];
+        let mut rig = AttackerRig::new(pws).unwrap();
+        let mut core = core();
+        rig.calibrate(&mut core).unwrap();
+        // A second record of window 1's jump, as a retried pass could
+        // leave behind, makes the readout unattributable.
+        let jump = rig.jmp_addrs[1];
+        let mut lbr = core.lbr().clone();
+        lbr.record(jump, jump, u64::MAX, false);
+        let result = read_windows(lbr.as_slices(), &rig.jmp_addrs, &mut rig.elapsed);
+        assert_eq!(result, Err((1, ProbeFailureCause::LbrRecordAmbiguous)));
     }
 }

@@ -1,11 +1,11 @@
 //! The typed event model: what the instrumented layers report.
 //!
-//! Events generalize `nv_uarch::events::FrontEndEvent` (the bounded debug
-//! log that tests assert against) into a form the whole stack can share:
-//! plain `u64` addresses instead of `VirtAddr` (so this crate sits below
-//! every other crate in the workspace), a stable [`EventKind`] index for
-//! O(1) counting, and per-event argument rendering for the Chrome-trace
-//! exporter.
+//! Events are the one record of front-end activity the whole stack
+//! shares: plain `u64` addresses instead of `VirtAddr` (so this crate sits
+//! below every other crate in the workspace), a stable [`EventKind`] index
+//! for O(1) counting, and per-event argument rendering for the
+//! Chrome-trace exporter. Squash events name their cause with
+//! `nv_uarch::SquashCause::name`.
 
 /// One observable microarchitectural or injected event.
 ///

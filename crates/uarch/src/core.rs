@@ -17,8 +17,8 @@ use nv_obs::{ObsEvent, Phase, Recorder};
 
 use crate::btb::{BranchKind, Btb, BtbHit};
 use crate::config::UarchConfig;
-use crate::decoded::DecodedImage;
-use crate::events::{EventLog, FrontEndEvent, SquashCause};
+use crate::decoded::{BundleVerdict, DecodedImage, SegmentHint};
+use crate::events::SquashCause;
 use crate::exec::{execute, ArchState, ControlOutcome, ExecOutcome, MemAccess};
 use crate::lbr::Lbr;
 use crate::mem::{Bus, Memory, SpecOverlay};
@@ -123,8 +123,18 @@ impl Machine {
 struct PwState {
     /// 32-byte block the window covers.
     block: VirtAddr,
-    /// Predicted next branch in the window, if the lookup hit.
-    pending: Option<BtbHit>,
+    /// Predicted next branch in the window, `(branch_pc, target)`, if the
+    /// lookup hit.
+    pending: Option<(VirtAddr, VirtAddr)>,
+}
+
+impl PwState {
+    /// No active window. Its block is never a block base (those are
+    /// 32-byte aligned), so the next fetch always opens a window.
+    const CLOSED: PwState = PwState {
+        block: VirtAddr::new(1),
+        pending: None,
+    };
 }
 
 /// One retired instruction, as reported by [`Core::step`].
@@ -258,14 +268,16 @@ pub struct Core {
     lbr: Lbr,
     rsb: VecDeque<VirtAddr>,
     cycle: u64,
-    pw: Option<PwState>,
-    events: EventLog,
+    pw: PwState,
+    /// The decode tables the fetch path used last.
+    segment_hint: SegmentHint,
     stats: CoreStats,
     /// Fault injector; `None` when `config.perturbation` is quiet, so the
     /// noise-free path is provably unchanged.
     perturb: Option<PerturbState>,
-    /// Observability recorder; `None` (the default) costs one null check
-    /// per emission site, so unobserved runs are provably unchanged.
+    /// Observability recorder; `None` (the default) costs one check per
+    /// `run`/`step`/`speculate_ahead` call, so unobserved runs are
+    /// provably unchanged.
     obs: Option<Box<Recorder>>,
     /// Watchdog deadline; `None` (the default) means no supervision. The
     /// watchdog never alters execution itself — it only exposes how many
@@ -300,8 +312,8 @@ impl Core {
             lbr: Lbr::new(),
             rsb: VecDeque::new(),
             cycle: 0,
-            pw: None,
-            events: EventLog::new(4096),
+            pw: PwState::CLOSED,
+            segment_hint: SegmentHint::default(),
             stats: CoreStats::default(),
             perturb: PerturbState::from_config(config.perturbation),
             obs: None,
@@ -407,16 +419,6 @@ impl Core {
         self.stats
     }
 
-    /// The front-end event log.
-    pub fn events(&self) -> &EventLog {
-        &self.events
-    }
-
-    /// Mutable event-log access (enable/clear).
-    pub fn events_mut(&mut self) -> &mut EventLog {
-        &mut self.events
-    }
-
     /// Attaches an observability recorder: from now on the core reports
     /// typed [`ObsEvent`]s (allocations, false-hit deallocations,
     /// squashes, resteers, LBR records, injected faults) into it at the
@@ -461,6 +463,15 @@ impl Core {
         }
     }
 
+    /// Whether events are to be reported at all: a recorder is attached
+    /// *and* enabled. Decided once per [`Core::run`], [`Core::step`] or
+    /// [`Core::speculate_ahead`] call, which then runs the matching
+    /// instantiation of the fetch path — so an unobserved core, or one
+    /// with a disabled recorder, tests nothing at the emission sites.
+    fn observing(&self) -> bool {
+        self.obs.as_deref().is_some_and(Recorder::is_enabled)
+    }
+
     /// Reports one event to the attached recorder at the current cycle.
     #[inline]
     fn obs_event(&mut self, event: ObsEvent) {
@@ -473,32 +484,47 @@ impl Core {
     /// context switches and interrupts; predictor state (BTB, RSB) is
     /// deliberately *not* cleared — that residue is the side channel.
     pub fn reset_frontend(&mut self) {
-        self.pw = None;
+        self.pw = PwState::CLOSED;
     }
 
     /// Executes one retirement unit: one instruction, or a macro-fused
     /// `cmp/test + jcc` pair when fusion is enabled (§7.3).
     pub fn step(&mut self, machine: &mut Machine) -> StepResult {
+        if self.observing() {
+            self.step_with::<true>(machine)
+        } else {
+            self.step_with::<false>(machine)
+        }
+    }
+
+    fn step_with<const OBSERVE: bool>(&mut self, machine: &mut Machine) -> StepResult {
         let cycle_before = self.cycle;
-        match self.retire(machine) {
-            Ok((first, second)) => StepResult {
-                first: Some(first.retired()),
-                second: second.map(ExecStep::retired),
-                syscall: first.outcome.syscall,
-                halted: first.outcome.halt,
-                fault: None,
-                cycles: self.cycle - cycle_before,
-            },
+        let (image, state, memory) = machine.parts_mut();
+        let first = match self.exec_one::<false, OBSERVE, _>(image, state, memory) {
+            Ok(first) => first,
             // A fetch fault retires nothing and reports no cycles, even if
             // the front end charged a squash before decode failed.
-            Err(fault) => StepResult {
-                first: None,
-                second: None,
-                syscall: None,
-                halted: false,
-                fault: Some(*fault),
-                cycles: 0,
-            },
+            Err(fault) => {
+                return StepResult {
+                    first: None,
+                    second: None,
+                    syscall: None,
+                    halted: false,
+                    fault: Some(*fault),
+                    cycles: 0,
+                }
+            }
+        };
+        self.stats.steps += 1;
+        self.stats.retired += 1;
+        let second = self.fuse_next::<OBSERVE>(image, state, memory, &first);
+        StepResult {
+            first: Some(first.retired()),
+            second: second.map(ExecStep::retired),
+            syscall: first.outcome.syscall,
+            halted: first.outcome.halt,
+            fault: None,
+            cycles: self.cycle - cycle_before,
         }
     }
 
@@ -507,50 +533,61 @@ impl Core {
     /// Exactly `max_steps` calls of [`Core::step`] stopping at the first
     /// fault, halt or syscall, without building their [`StepResult`]s.
     pub fn run(&mut self, machine: &mut Machine, max_steps: u64) -> RunExit {
+        if self.observing() {
+            self.run_with::<true>(machine, max_steps)
+        } else {
+            self.run_with::<false>(machine, max_steps)
+        }
+    }
+
+    fn run_with<const OBSERVE: bool>(&mut self, machine: &mut Machine, max_steps: u64) -> RunExit {
+        let (image, state, memory) = machine.parts_mut();
         for _ in 0..max_steps {
-            match self.retire(machine) {
+            let first = match self.exec_one::<false, OBSERVE, _>(image, state, memory) {
+                Ok(first) => first,
                 Err(fault) => return RunExit::Fault(*fault),
-                Ok((first, _)) if first.outcome.halt => return RunExit::Halted,
-                Ok((first, _)) => {
-                    if let Some(code) = first.outcome.syscall {
-                        return RunExit::Syscall(code);
-                    }
-                }
+            };
+            self.stats.steps += 1;
+            self.stats.retired += 1;
+            if first.outcome.halt {
+                return RunExit::Halted;
             }
+            if let Some(code) = first.outcome.syscall {
+                return RunExit::Syscall(code);
+            }
+            self.fuse_next::<OBSERVE>(image, state, memory, &first);
         }
         RunExit::StepLimit
     }
 
-    /// The retirement unit shared by [`Core::step`] and [`Core::run`]: the
-    /// leading instruction and, when it macro-fuses with an immediately
-    /// following conditional branch in the same 64-byte line, that branch.
+    /// The second half of a retirement unit: when `first` macro-fuses with
+    /// an immediately following conditional branch in the same 64-byte
+    /// line, executes and retires that branch.
     #[inline]
-    fn retire<'m>(
+    fn fuse_next<'i, const OBSERVE: bool>(
         &mut self,
-        machine: &'m mut Machine,
-    ) -> Result<(ExecStep<'m>, Option<ExecStep<'m>>), Box<IsaError>> {
-        let (image, state, memory) = machine.parts_mut();
-        let first = self.exec_one(image, state, memory, false)?;
-        self.stats.steps += 1;
-        self.stats.retired += 1;
+        image: &'i DecodedImage,
+        state: &mut ArchState,
+        memory: &mut Memory,
+        first: &ExecStep<'_>,
+    ) -> Option<ExecStep<'i>> {
         let fuses = self.config.fusion
             && first.inst.is_fusible_flag_setter()
             && first.outcome.syscall.is_none()
             && !first.outcome.halt
             && state.pc().value() / 64 == first.pc.value() / 64
             && image
-                .get(state.pc())
-                .is_some_and(|(next, _)| next.kind() == InstKind::CondBranch);
-        let second = if fuses {
-            self.exec_one(image, state, memory, false).ok()
-        } else {
-            None
-        };
-        if second.is_some() {
-            self.stats.retired += 1;
-            self.stats.fused_pairs += 1;
+                .probe(state.pc(), &mut self.segment_hint)
+                .is_some_and(|next| next.inst.kind() == InstKind::CondBranch);
+        if !fuses {
+            return None;
         }
-        Ok((first, second))
+        let second = self
+            .exec_one::<false, OBSERVE, _>(image, state, memory)
+            .ok()?;
+        self.stats.retired += 1;
+        self.stats.fused_pairs += 1;
+        Some(second)
     }
 
     /// Models the front end running ahead of a single-stepped instruction:
@@ -562,16 +599,23 @@ impl Core {
     /// afterwards (squash recovery); the active PW is discarded, as the
     /// interrupt redirects fetch anyway.
     pub fn speculate_ahead(&mut self, machine: &Machine, depth: usize) {
-        if depth == 0 {
-            self.pw = None;
-            return;
+        if depth > 0 {
+            if self.observing() {
+                self.speculate_with::<true>(machine, depth);
+            } else {
+                self.speculate_with::<false>(machine, depth);
+            }
         }
+        self.pw = PwState::CLOSED;
+    }
+
+    fn speculate_with<const OBSERVE: bool>(&mut self, machine: &Machine, depth: usize) {
         let mut state = machine.state().clone();
         let mut overlay = SpecOverlay::new(machine.memory());
         let saved_rsb = self.rsb.clone();
         let saved_cycle = self.cycle;
         for _ in 0..depth {
-            match self.exec_one(machine.image(), &mut state, &mut overlay, true) {
+            match self.exec_one::<true, OBSERVE, _>(machine.image(), &mut state, &mut overlay) {
                 Ok(step) => {
                     self.stats.speculated += 1;
                     if step.outcome.halt || step.outcome.syscall.is_some() {
@@ -583,7 +627,6 @@ impl Core {
         }
         self.rsb = saved_rsb;
         self.cycle = saved_cycle;
-        self.pw = None;
     }
 
     /// Applies the fault injector's due effects for one retirement unit:
@@ -591,7 +634,7 @@ impl Core {
     /// and possibly a spurious preemption squash. Architectural path only
     /// — injected faults model the outside world, which does not run
     /// faster because the victim's front end speculates.
-    fn perturb_tick(&mut self, pc: VirtAddr) {
+    fn perturb_tick<const OBSERVE: bool>(&mut self, pc: VirtAddr) {
         let Some(perturb) = self.perturb.as_mut() else {
             return;
         };
@@ -600,13 +643,13 @@ impl Core {
         let preempted = perturb.spurious_squash();
         for (set, way) in evictions {
             let evicted = self.btb.evict_entry(set, way);
-            self.events
-                .push(FrontEndEvent::InjectedEviction { set, way, evicted });
-            self.obs_event(ObsEvent::BtbEvict {
-                set: set as u32,
-                way: way as u32,
-                displaced: evicted,
-            });
+            if OBSERVE {
+                self.obs_event(ObsEvent::BtbEvict {
+                    set: set as u32,
+                    way: way as u32,
+                    displaced: evicted,
+                });
+            }
         }
         if preempted {
             let penalty = self.config.timing.squash_penalty;
@@ -615,39 +658,77 @@ impl Core {
             // The asynchronous interrupt redirects fetch, discarding the
             // in-flight prediction window (predictor state survives, as on
             // a real context switch).
-            self.pw = None;
-            self.events.push(FrontEndEvent::Squash {
-                at: pc,
-                cause: SquashCause::SpuriousPreemption,
-                penalty,
-            });
-            self.obs_event(ObsEvent::InjectedSquash {
+            self.pw = PwState::CLOSED;
+            if OBSERVE {
+                self.obs_event(ObsEvent::InjectedSquash {
+                    pc: pc.value(),
+                    penalty,
+                });
+            }
+        }
+    }
+
+    /// Deallocates a falsified BTB entry and, on the architectural path,
+    /// charges the squash that refetches past it.
+    fn false_hit<const SPECULATIVE: bool, const OBSERVE: bool>(
+        &mut self,
+        pc: VirtAddr,
+        hit: &BtbHit,
+        cause: SquashCause,
+    ) {
+        self.btb.deallocate(hit.set, hit.way);
+        self.stats.false_hit_deallocs += 1;
+        if OBSERVE {
+            self.obs_event(ObsEvent::BtbFalseHit {
                 pc: pc.value(),
-                penalty,
+                mid_instruction: cause == SquashCause::FalseHitMidInstruction,
             });
+            self.obs_event(ObsEvent::BtbDeallocate {
+                pc: hit.branch_pc.value(),
+                speculative: SPECULATIVE,
+            });
+        }
+        if !SPECULATIVE {
+            let penalty = self.config.timing.squash_penalty;
+            self.cycle += penalty;
+            self.stats.squashes += 1;
+            if OBSERVE {
+                self.obs_event(ObsEvent::Squash {
+                    pc: pc.value(),
+                    cause: cause.name(),
+                    penalty,
+                });
+            }
         }
     }
 
     /// The per-instruction front-end + execute pass.
     ///
-    /// `speculative` suppresses cycle accounting, LBR records and stats that
-    /// describe architectural retirement, but *keeps* BTB state changes —
-    /// the paper's key point is that deallocation happens at decode, before
-    /// retirement (§2.2).
-    fn exec_one<'i, M: Bus>(
+    /// `SPECULATIVE` suppresses cycle accounting, LBR records and stats
+    /// that describe architectural retirement, but *keeps* BTB state
+    /// changes — the paper's key point is that deallocation happens at
+    /// decode, before retirement (§2.2). `OBSERVE` reports events to the
+    /// attached recorder.
+    ///
+    /// Always inlined: called out of line, moving its result and the
+    /// retirement bookkeeping around it costs about a fifth of a rig pass.
+    #[inline(always)]
+    fn exec_one<'i, const SPECULATIVE: bool, const OBSERVE: bool, M: Bus>(
         &mut self,
         image: &'i DecodedImage,
         state: &mut ArchState,
         mem: &mut M,
-        speculative: bool,
     ) -> Result<ExecStep<'i>, Box<IsaError>> {
         let pc = state.pc();
 
         // (0) Fault injection: the outside world (competing processes,
         // interrupts) acts between this core's retirement units.
-        if !speculative && self.perturb.is_some() {
-            self.perturb_tick(pc);
+        if !SPECULATIVE && self.perturb.is_some() {
+            self.perturb_tick::<OBSERVE>(pc);
         }
+
+        // One table probe serves both the window check and the decode.
+        let entry = image.probe(pc, &mut self.segment_hint);
 
         // (1) Prediction-window maintenance: look up the BTB when fetch
         // enters a new 32-byte block, and verify the prediction against
@@ -657,78 +738,37 @@ impl Core {
         // whether a control transfer really ends there (§2.2 — this is why
         // entries die "as soon as instruction decoding finishes and even
         // if the instruction causing the false hit doesn't retire").
-        let need_lookup = match &self.pw {
-            Some(pw) => pw.block != pc.block_base(),
-            None => true,
-        };
-        if need_lookup {
+        if self.pw.block != pc.block_base() {
             let mut pending = None;
-            loop {
-                let Some(hit) = self.btb.lookup(pc) else {
-                    self.events.push(FrontEndEvent::PwLookup { pc, hit: false });
-                    break;
-                };
-                self.events.push(FrontEndEvent::PwLookup { pc, hit: true });
-                match verify_bundle(image, pc, hit.branch_pc) {
+            while let Some(hit) = self.btb.lookup(pc) {
+                let verdict = entry.map_or(BundleVerdict::MidInstruction, |e| {
+                    e.bundle.verdict(hit.branch_pc)
+                });
+                let cause = match verdict {
                     BundleVerdict::BranchEndsThere => {
-                        pending = Some(hit);
+                        pending = Some((hit.branch_pc, hit.target));
                         break;
                     }
-                    BundleVerdict::CutShortByEarlierTransfer => {
-                        // Fetch redirects at the earlier transfer; the
-                        // prediction is dropped but the entry survives.
-                        break;
-                    }
-                    cause => {
-                        // False hit: deallocate and squash; the front end
-                        // refetches and looks the window up again (it may
-                        // hit another, lower-priority entry — this is what
-                        // Experiment 2 observes after jmp L2's entry dies).
-                        let cause = match cause {
-                            BundleVerdict::NonTransferThere => SquashCause::FalseHitNonTransfer,
-                            _ => SquashCause::FalseHitMidInstruction,
-                        };
-                        self.btb.deallocate(hit.set, hit.way);
-                        self.stats.false_hit_deallocs += 1;
-                        self.events.push(FrontEndEvent::Deallocate {
-                            at: hit.branch_pc,
-                            cause,
-                            speculative,
-                        });
-                        self.obs_event(ObsEvent::BtbFalseHit {
-                            pc: pc.value(),
-                            mid_instruction: cause == SquashCause::FalseHitMidInstruction,
-                        });
-                        self.obs_event(ObsEvent::BtbDeallocate {
-                            pc: hit.branch_pc.value(),
-                            speculative,
-                        });
-                        if !speculative {
-                            let penalty = self.config.timing.squash_penalty;
-                            self.cycle += penalty;
-                            self.stats.squashes += 1;
-                            self.events.push(FrontEndEvent::Squash {
-                                at: pc,
-                                cause,
-                                penalty,
-                            });
-                            self.obs_event(ObsEvent::Squash {
-                                pc: pc.value(),
-                                cause: cause.name(),
-                                penalty,
-                            });
-                        }
-                    }
-                }
+                    // Fetch redirects at the earlier transfer; the
+                    // prediction is dropped but the entry survives.
+                    BundleVerdict::CutShortByEarlierTransfer => break,
+                    BundleVerdict::NonTransferThere => SquashCause::FalseHitNonTransfer,
+                    BundleVerdict::MidInstruction => SquashCause::FalseHitMidInstruction,
+                };
+                // False hit: deallocate and squash; the front end refetches
+                // and looks the window up again (it may hit another,
+                // lower-priority entry — this is what Experiment 2 observes
+                // after jmp L2's entry dies).
+                self.false_hit::<SPECULATIVE, OBSERVE>(pc, &hit, cause);
             }
-            self.pw = Some(PwState {
+            self.pw = PwState {
                 block: pc.block_base(),
                 pending,
-            });
+            };
         }
 
-        // (2) Decode (from the pre-decoded image — one table hit).
-        let Some((inst, len)) = image.entry(pc) else {
+        // (2) Decode (from the same probe).
+        let Some(entry) = entry else {
             // A fetch fault is the cold path: the precise error comes from
             // the uncached decoder, boxed to keep the hot path's return
             // value small.
@@ -737,12 +777,16 @@ impl Core {
                 .expect_err("the decode cache covers every decodable byte");
             return Err(Box::new(fault));
         };
-        let len = u64::from(*len);
+        let inst = &entry.inst;
+        let len = inst.len() as u64;
         let last_byte = pc.offset(len - 1);
 
         let timing = self.config.timing;
-        let pending = self.pw.as_ref().and_then(|pw| pw.pending);
-        let mut pred_here = pending.filter(|h| h.branch_pc == last_byte);
+        // The predicted target, if the window predicts a branch ending here.
+        let mut pred_here = self
+            .pw
+            .pending
+            .and_then(|(branch_pc, target)| (branch_pc == last_byte).then_some(target));
 
         // (2b) Boundary-straddling instructions: a branch whose last byte
         // falls in the *next* 32-byte block is indexed in that block's
@@ -751,41 +795,16 @@ impl Core {
         if pred_here.is_none() && last_byte.block_base() != pc.block_base() {
             if let Some(hit) = self.btb.lookup(last_byte.block_base()) {
                 if hit.branch_pc == last_byte && inst.is_control_transfer() {
-                    pred_here = Some(hit);
+                    pred_here = Some(hit.target);
                 } else if hit.branch_pc <= last_byte {
                     // The next block's prediction points into this
                     // instruction's tail bytes: a false hit, detected when
                     // the straddling instruction decodes.
-                    self.btb.deallocate(hit.set, hit.way);
-                    self.stats.false_hit_deallocs += 1;
-                    self.events.push(FrontEndEvent::Deallocate {
-                        at: hit.branch_pc,
-                        cause: SquashCause::FalseHitMidInstruction,
-                        speculative,
-                    });
-                    self.obs_event(ObsEvent::BtbFalseHit {
-                        pc: pc.value(),
-                        mid_instruction: true,
-                    });
-                    self.obs_event(ObsEvent::BtbDeallocate {
-                        pc: hit.branch_pc.value(),
-                        speculative,
-                    });
-                    if !speculative {
-                        let penalty = timing.squash_penalty;
-                        self.cycle += penalty;
-                        self.stats.squashes += 1;
-                        self.events.push(FrontEndEvent::Squash {
-                            at: pc,
-                            cause: SquashCause::FalseHitMidInstruction,
-                            penalty,
-                        });
-                        self.obs_event(ObsEvent::Squash {
-                            pc: pc.value(),
-                            cause: SquashCause::FalseHitMidInstruction.name(),
-                            penalty,
-                        });
-                    }
+                    self.false_hit::<SPECULATIVE, OBSERVE>(
+                        pc,
+                        &hit,
+                        SquashCause::FalseHitMidInstruction,
+                    );
                 }
                 // A predicted branch further into the next block is left
                 // for the next block's own PW maintenance.
@@ -801,118 +820,76 @@ impl Core {
 
         match outcome.control {
             ControlOutcome::Taken { target } => {
-                match inst.kind() {
+                let kind = inst.kind();
+                let squash = match kind {
                     InstKind::Ret => {
                         // Return prediction needs both halves: a BTB entry
                         // marking "a return ends here" (so fetch knows to
                         // redirect at all) and the RSB supplying the
                         // target. The RSB pops at every ret retirement.
                         let rsb_top = self.rsb.pop_back();
-                        let predicted_here = pred_here.is_some();
-                        if predicted_here && rsb_top == Some(target) {
-                            self.stats.correct_predictions += 1;
-                            self.events
-                                .push(FrontEndEvent::CorrectPrediction { at: pc });
-                        } else {
-                            penalty = timing.squash_penalty;
-                            mispredicted = true;
-                            let cause = if predicted_here {
-                                SquashCause::RsbMismatch
-                            } else {
-                                SquashCause::BtbMissTaken
-                            };
-                            self.events.push(FrontEndEvent::Squash {
-                                at: pc,
-                                cause,
+                        match pred_here {
+                            Some(_) if rsb_top == Some(target) => None,
+                            Some(_) => Some(SquashCause::RsbMismatch),
+                            None => Some(SquashCause::BtbMissTaken),
+                        }
+                    }
+                    _ => match pred_here {
+                        Some(predicted) if predicted == target => None,
+                        Some(_) => Some(SquashCause::WrongTarget),
+                        // A taken transfer the BTB did not predict (miss,
+                        // or the prediction pointed further down the
+                        // window).
+                        None => Some(SquashCause::BtbMissTaken),
+                    },
+                };
+                match squash {
+                    None => self.stats.correct_predictions += 1,
+                    // Direct unconditional targets resolve at decode (cheap
+                    // resteer); everything else squashes.
+                    Some(SquashCause::BtbMissTaken)
+                        if matches!(kind, InstKind::DirectJump | InstKind::DirectCall) =>
+                    {
+                        penalty = timing.resteer_penalty;
+                        mispredicted = true;
+                        if OBSERVE {
+                            self.obs_event(ObsEvent::Resteer {
+                                pc: pc.value(),
+                                target: target.value(),
                                 penalty,
                             });
+                        }
+                    }
+                    Some(cause) => {
+                        penalty = timing.squash_penalty;
+                        mispredicted = true;
+                        if OBSERVE {
                             self.obs_event(ObsEvent::Squash {
                                 pc: pc.value(),
                                 cause: cause.name(),
                                 penalty,
                             });
                         }
-                        // Returns allocate BTB entries like other taken
-                        // transfers (the "there is a return here" marker).
-                        self.btb.allocate(last_byte, target, BranchKind::Return);
-                        self.events.push(FrontEndEvent::Allocate { pc, target });
-                        self.obs_event(ObsEvent::BtbAllocate {
-                            pc: pc.value(),
-                            target: target.value(),
-                        });
-                    }
-                    kind => {
-                        let bkind = BranchKind::from_inst_kind(kind)
-                            .expect("taken non-ret transfer maps to a branch kind");
-                        match pred_here {
-                            Some(hit) if hit.target == target => {
-                                self.stats.correct_predictions += 1;
-                                self.events
-                                    .push(FrontEndEvent::CorrectPrediction { at: pc });
-                            }
-                            Some(_) => {
-                                penalty = timing.squash_penalty;
-                                mispredicted = true;
-                                self.events.push(FrontEndEvent::Squash {
-                                    at: pc,
-                                    cause: SquashCause::WrongTarget,
-                                    penalty,
-                                });
-                                self.obs_event(ObsEvent::Squash {
-                                    pc: pc.value(),
-                                    cause: SquashCause::WrongTarget.name(),
-                                    penalty,
-                                });
-                            }
-                            None => {
-                                // A taken transfer the BTB did not predict
-                                // (miss, or the prediction pointed further
-                                // down the window). Direct unconditional
-                                // targets resolve at decode (cheap
-                                // resteer); everything else squashes.
-                                let resteers =
-                                    matches!(kind, InstKind::DirectJump | InstKind::DirectCall);
-                                penalty = if resteers {
-                                    timing.resteer_penalty
-                                } else {
-                                    timing.squash_penalty
-                                };
-                                mispredicted = true;
-                                self.events.push(FrontEndEvent::Squash {
-                                    at: pc,
-                                    cause: SquashCause::BtbMissTaken,
-                                    penalty,
-                                });
-                                if resteers {
-                                    self.obs_event(ObsEvent::Resteer {
-                                        pc: pc.value(),
-                                        target: target.value(),
-                                        penalty,
-                                    });
-                                } else {
-                                    self.obs_event(ObsEvent::Squash {
-                                        pc: pc.value(),
-                                        cause: SquashCause::BtbMissTaken.name(),
-                                        penalty,
-                                    });
-                                }
-                            }
-                        }
-                        self.btb.allocate(last_byte, target, bkind);
-                        self.events.push(FrontEndEvent::Allocate { pc, target });
-                        self.obs_event(ObsEvent::BtbAllocate {
-                            pc: pc.value(),
-                            target: target.value(),
-                        });
-                        if matches!(kind, InstKind::DirectCall | InstKind::IndirectCall) {
-                            if self.rsb.len() == self.config.rsb_depth {
-                                self.rsb.pop_front();
-                            }
-                            self.rsb.push_back(pc.offset(len));
-                        }
                     }
                 }
-                self.pw = None;
+                // Every taken transfer allocates; for returns the entry is
+                // the "there is a return here" marker.
+                let bkind = BranchKind::from_inst_kind(kind)
+                    .expect("a taken transfer maps to a branch kind");
+                self.btb.allocate(last_byte, target, bkind);
+                if OBSERVE {
+                    self.obs_event(ObsEvent::BtbAllocate {
+                        pc: pc.value(),
+                        target: target.value(),
+                    });
+                }
+                if matches!(kind, InstKind::DirectCall | InstKind::IndirectCall) {
+                    if self.rsb.len() == self.config.rsb_depth {
+                        self.rsb.pop_front();
+                    }
+                    self.rsb.push_back(pc.offset(len));
+                }
+                self.pw = PwState::CLOSED;
             }
             ControlOutcome::NotTaken if pred_here.is_some() => {
                 // Bundle-verified branch, predicted taken, fell through:
@@ -920,29 +897,21 @@ impl Core {
                 // is the conditional predictor's job, not the BTB's.
                 penalty = timing.squash_penalty;
                 mispredicted = true;
-                self.events.push(FrontEndEvent::Squash {
-                    at: pc,
-                    cause: SquashCause::WrongDirection,
-                    penalty,
-                });
-                self.obs_event(ObsEvent::Squash {
-                    pc: pc.value(),
-                    cause: SquashCause::WrongDirection.name(),
-                    penalty,
-                });
-                self.pw = None;
+                if OBSERVE {
+                    self.obs_event(ObsEvent::Squash {
+                        pc: pc.value(),
+                        cause: SquashCause::WrongDirection.name(),
+                        penalty,
+                    });
+                }
+                self.pw = PwState::CLOSED;
             }
             ControlOutcome::NotTaken | ControlOutcome::NotTransfer => {
                 // Smooth fall-through; leaving the block ends the PW. The
                 // bundle verification guarantees no prediction can point
                 // inside a non-transfer instruction here.
-                let keep = self
-                    .pw
-                    .as_ref()
-                    .map(|pw| pw.block == outcome.next_pc.block_base())
-                    .unwrap_or(false);
-                if !keep {
-                    self.pw = None;
+                if self.pw.block != outcome.next_pc.block_base() {
+                    self.pw = PwState::CLOSED;
                 }
             }
         }
@@ -954,7 +923,7 @@ impl Core {
         // why the paper reads the misprediction of `jmp L1` out of the
         // elapsed-cycles field of the *subsequent* `ret`'s LBR record
         // (§2.3): the penalty lands in the following record's interval.
-        if !speculative {
+        if !SPECULATIVE {
             let mut cost = timing.base_cost;
             if matches!(*inst, Inst::MulRr(..)) {
                 cost += timing.mul_extra;
@@ -968,23 +937,19 @@ impl Core {
                 let clamped =
                     self.lbr
                         .record_jittered(pc, target, self.cycle, mispredicted, jitter);
-                if jitter > 0 {
-                    self.events.push(FrontEndEvent::InjectedJitter {
-                        at: pc,
-                        cycles: jitter,
-                    });
-                    self.obs_event(ObsEvent::InjectedJitter {
-                        pc: pc.value(),
-                        cycles: jitter,
-                    });
-                }
-                if let Some(shortfall) = clamped {
-                    self.obs_event(ObsEvent::LbrClamped {
-                        from: pc.value(),
-                        shortfall,
-                    });
-                }
-                if self.obs.is_some() {
+                if OBSERVE {
+                    if jitter > 0 {
+                        self.obs_event(ObsEvent::InjectedJitter {
+                            pc: pc.value(),
+                            cycles: jitter,
+                        });
+                    }
+                    if let Some(shortfall) = clamped {
+                        self.obs_event(ObsEvent::LbrClamped {
+                            from: pc.value(),
+                            shortfall,
+                        });
+                    }
                     let elapsed = self.lbr.last().map_or(0, |r| r.elapsed);
                     self.obs_event(ObsEvent::LbrRecord {
                         from: pc.value(),
@@ -1001,54 +966,6 @@ impl Core {
         }
 
         Ok(ExecStep { pc, inst, outcome })
-    }
-}
-
-/// Outcome of checking a BTB prediction against the decoded fetch bundle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum BundleVerdict {
-    /// A control-transfer instruction really ends at the predicted byte.
-    BranchEndsThere,
-    /// A non-control-transfer instruction ends at the predicted byte
-    /// (Takeaway 1's false hit).
-    NonTransferThere,
-    /// The predicted byte falls inside an instruction, or the bytes do not
-    /// decode at all.
-    MidInstruction,
-    /// An *unconditional* transfer ends before the predicted byte: decode
-    /// redirects fetch there and the predicted location is never examined.
-    /// The entry is neither used nor falsified.
-    CutShortByEarlierTransfer,
-}
-
-/// Decodes the fetch bundle from `pc` up to the predicted branch location
-/// `branch_end` and reports whether a control transfer really ends there.
-///
-/// Conditional branches before the predicted location are walked through
-/// (they carry no prediction of their own here, so fetch proceeds along
-/// the fall-through); unconditional transfers redirect decode and cut the
-/// bundle short.
-fn verify_bundle(image: &DecodedImage, pc: VirtAddr, branch_end: VirtAddr) -> BundleVerdict {
-    let mut cursor = pc;
-    loop {
-        let Some((inst, len)) = image.get(cursor) else {
-            return BundleVerdict::MidInstruction;
-        };
-        let last = cursor.offset(len as u64 - 1);
-        if last == branch_end {
-            return if inst.is_control_transfer() {
-                BundleVerdict::BranchEndsThere
-            } else {
-                BundleVerdict::NonTransferThere
-            };
-        }
-        if last > branch_end {
-            return BundleVerdict::MidInstruction;
-        }
-        if inst.kind().is_unconditional() {
-            return BundleVerdict::CutShortByEarlierTransfer;
-        }
-        cursor = cursor.offset(len as u64);
     }
 }
 
@@ -1445,6 +1362,7 @@ mod tests {
 
     #[test]
     fn noisy_perturbation_fires_and_replays_deterministically() {
+        use nv_obs::EventKind;
         let noisy = Perturbation {
             seed: 7,
             eviction_interval: 5,
@@ -1464,11 +1382,20 @@ mod tests {
                 perturbation: noisy,
                 ..UarchConfig::default()
             });
-            core.events_mut().set_enabled(true);
+            core.attach_obs(Recorder::new(4096));
             assert_eq!(core.run(&mut machine, 10_000), RunExit::Halted);
             let lbr: Vec<_> = core.lbr().iter().copied().collect();
-            let events: Vec<_> = core.events().iter().copied().collect();
-            (core.cycle(), core.stats(), core.btb().stats(), lbr, events)
+            let recorder = core.detach_obs().expect("recorder attached");
+            let events: Vec<_> = recorder.events().copied().collect();
+            let metrics = recorder.metrics();
+            (
+                core.cycle(),
+                core.stats(),
+                core.btb().stats(),
+                lbr,
+                events,
+                metrics,
+            )
         };
         let first = run();
         assert_eq!(first, run(), "same seed must replay identically");
@@ -1476,20 +1403,8 @@ mod tests {
         // mostly land on invalid ways — the BTB holds a handful of entries
         // out of 4096 — so assert on the injection events, not on lucky
         // displacements.)
-        assert!(
-            first
-                .4
-                .iter()
-                .any(|e| matches!(e, FrontEndEvent::InjectedEviction { .. })),
-            "evictions fired"
-        );
-        assert!(
-            first
-                .4
-                .iter()
-                .any(|e| matches!(e, FrontEndEvent::InjectedJitter { .. })),
-            "jitter fired"
-        );
+        assert!(first.5.count(EventKind::BtbEvict) > 0, "evictions fired");
+        assert!(first.5.count(EventKind::InjectedJitter) > 0, "jitter fired");
         // And reconfiguring back to quiet removes the injector.
         let mut core = Core::new(UarchConfig {
             perturbation: noisy,

@@ -1,13 +1,8 @@
-//! Optional event log for BTB/front-end activity.
+//! Squash causes: *why* the front end threw fetched work away.
 //!
-//! Tests and the reverse-engineering example use this log to assert *why*
-//! a measurement happened (e.g. "the probe mispredicted because a victim
-//! nop false-hit the primed entry"), not just that cycle counts moved.
-
-use std::collections::VecDeque;
-use std::fmt;
-
-use nv_isa::VirtAddr;
+//! The core reports every squash and false-hit deallocation to the
+//! attached [`nv_obs::Recorder`]; a squash event names its cause with
+//! [`SquashCause::name`].
 
 /// Why a BTB entry was deallocated or a squash occurred.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,181 +40,5 @@ impl SquashCause {
             SquashCause::RsbMismatch => "rsb_mismatch",
             SquashCause::SpuriousPreemption => "spurious_preemption",
         }
-    }
-}
-
-/// One logged front-end event.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FrontEndEvent {
-    /// A new prediction window was opened at `pc`; `hit` tells whether the
-    /// BTB produced a prediction.
-    PwLookup {
-        /// Fetch PC of the window.
-        pc: VirtAddr,
-        /// Whether the lookup hit.
-        hit: bool,
-    },
-    /// A taken branch allocated/updated a BTB entry.
-    Allocate {
-        /// Branch PC.
-        pc: VirtAddr,
-        /// Branch target.
-        target: VirtAddr,
-    },
-    /// A BTB entry was deallocated after a false hit.
-    Deallocate {
-        /// PC (in the *fetching* block) where the false hit materialized.
-        at: VirtAddr,
-        /// The cause.
-        cause: SquashCause,
-        /// Whether the triggering instruction was speculative (it need not
-        /// retire for the deallocation to happen — §2.2).
-        speculative: bool,
-    },
-    /// The pipeline squashed.
-    Squash {
-        /// PC of the offending instruction.
-        at: VirtAddr,
-        /// The cause.
-        cause: SquashCause,
-        /// Penalty charged, in cycles.
-        penalty: u64,
-    },
-    /// A prediction resolved correctly (no penalty).
-    CorrectPrediction {
-        /// Branch PC.
-        at: VirtAddr,
-    },
-    /// The fault injector invalidated a BTB entry, modeling a competing
-    /// process contending for the set.
-    InjectedEviction {
-        /// Targeted set index.
-        set: usize,
-        /// Targeted way index.
-        way: usize,
-        /// Whether a valid entry was actually displaced.
-        evicted: bool,
-    },
-    /// The fault injector added measurement noise to an LBR record.
-    InjectedJitter {
-        /// PC of the recorded transfer.
-        at: VirtAddr,
-        /// Cycles added to the record's `elapsed` field.
-        cycles: u64,
-    },
-}
-
-/// A bounded log of [`FrontEndEvent`]s; disabled by default.
-#[derive(Clone, Debug, Default)]
-pub struct EventLog {
-    enabled: bool,
-    events: VecDeque<FrontEndEvent>,
-    capacity: usize,
-}
-
-impl EventLog {
-    /// Creates a disabled log with the given capacity.
-    pub fn new(capacity: usize) -> Self {
-        EventLog {
-            enabled: false,
-            events: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Enables or disables recording.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event if enabled, evicting the oldest past capacity.
-    pub fn push(&mut self, event: FrontEndEvent) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-    }
-
-    /// Iterates oldest→newest.
-    pub fn iter(&self) -> impl Iterator<Item = &FrontEndEvent> {
-        self.events.iter()
-    }
-
-    /// Clears the log.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if no events are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl fmt::Display for EventLog {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for event in &self.events {
-            writeln!(f, "{event:?}")?;
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = EventLog::new(4);
-        log.push(FrontEndEvent::CorrectPrediction {
-            at: VirtAddr::new(1),
-        });
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn enabled_log_caps_at_capacity() {
-        let mut log = EventLog::new(2);
-        log.set_enabled(true);
-        for i in 0..5 {
-            log.push(FrontEndEvent::CorrectPrediction {
-                at: VirtAddr::new(i),
-            });
-        }
-        assert_eq!(log.len(), 2);
-        let first = log.iter().next().unwrap();
-        assert_eq!(
-            *first,
-            FrontEndEvent::CorrectPrediction {
-                at: VirtAddr::new(3)
-            }
-        );
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut log = EventLog::new(4);
-        log.set_enabled(true);
-        log.push(FrontEndEvent::PwLookup {
-            pc: VirtAddr::new(0),
-            hit: false,
-        });
-        log.clear();
-        assert!(log.is_empty());
-        assert!(log.is_enabled());
     }
 }

@@ -6,7 +6,6 @@
 //! inflates that field by the squash penalty, which is the attack's entire
 //! observable.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use nv_isa::VirtAddr;
@@ -46,10 +45,32 @@ pub struct LbrRecord {
 /// let records: Vec<_> = lbr.iter().collect();
 /// assert_eq!(records[1].elapsed, 18);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Lbr {
-    records: VecDeque<LbrRecord>,
+    /// The ring: the oldest record sits at `head`, the newest `len - 1`
+    /// slots after it (wrapping). Slots outside that span are stale.
+    records: [LbrRecord; LBR_DEPTH],
+    head: usize,
+    len: usize,
     last_retire_cycle: Option<u64>,
+}
+
+impl Default for Lbr {
+    fn default() -> Self {
+        let empty = LbrRecord {
+            from: VirtAddr::new(0),
+            to: VirtAddr::new(0),
+            cycle: 0,
+            elapsed: 0,
+            mispredicted: false,
+        };
+        Lbr {
+            records: [empty; LBR_DEPTH],
+            head: 0,
+            len: 0,
+            last_retire_cycle: None,
+        }
+    }
 }
 
 impl Lbr {
@@ -77,23 +98,7 @@ impl Lbr {
         cycle: u64,
         mispredicted: bool,
     ) -> Option<u64> {
-        let (elapsed, clamped) = match self.last_retire_cycle {
-            None => (0, None),
-            Some(last) if cycle >= last => (cycle - last, None),
-            Some(last) => (1, Some(last - cycle)),
-        };
-        self.last_retire_cycle = Some(cycle);
-        if self.records.len() == LBR_DEPTH {
-            self.records.pop_front();
-        }
-        self.records.push_back(LbrRecord {
-            from,
-            to,
-            cycle,
-            elapsed,
-            mispredicted,
-        });
-        clamped
+        self.record_jittered(from, to, cycle, mispredicted, 0)
     }
 
     /// Like [`Lbr::record`], but adds `jitter` cycles of injected
@@ -110,56 +115,86 @@ impl Lbr {
         mispredicted: bool,
         jitter: u64,
     ) -> Option<u64> {
-        let clamped = self.record(from, to, cycle, mispredicted);
-        if jitter > 0 {
-            let rec = self.records.back_mut().expect("record was just pushed");
-            rec.elapsed += jitter;
+        let (elapsed, clamped) = match self.last_retire_cycle {
+            None => (0, None),
+            Some(last) if cycle >= last => (cycle - last, None),
+            Some(last) => (1, Some(last - cycle)),
+        };
+        self.last_retire_cycle = Some(cycle);
+        let slot = (self.head + self.len) % LBR_DEPTH;
+        if self.len == LBR_DEPTH {
+            // Full: the newest record overwrites the oldest.
+            self.head = (self.head + 1) % LBR_DEPTH;
+        } else {
+            self.len += 1;
         }
+        self.records[slot] = LbrRecord {
+            from,
+            to,
+            cycle,
+            elapsed: elapsed + jitter,
+            mispredicted,
+        };
         clamped
     }
 
+    /// The records from oldest to newest, as two contiguous runs: the
+    /// second is non-empty only once the ring has wrapped.
+    pub fn as_slices(&self) -> (&[LbrRecord], &[LbrRecord]) {
+        let end = self.head + self.len;
+        if end <= LBR_DEPTH {
+            (&self.records[self.head..end], &[])
+        } else {
+            (&self.records[self.head..], &self.records[..end - LBR_DEPTH])
+        }
+    }
+
     /// Iterates over records from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &LbrRecord> {
-        self.records.iter()
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &LbrRecord> {
+        let (older, newer) = self.as_slices();
+        older.iter().chain(newer)
     }
 
     /// The newest record, if any.
     pub fn last(&self) -> Option<&LbrRecord> {
-        self.records.back()
+        self.iter().next_back()
     }
 
     /// Number of stored records (≤ [`LBR_DEPTH`]).
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// `true` if no records are stored.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Clears all records and the elapsed-cycle baseline.
     pub fn clear(&mut self) {
-        self.records.clear();
+        // Restart at slot 0, so up to LBR_DEPTH records after a clear read
+        // back as one contiguous run.
+        self.head = 0;
+        self.len = 0;
         self.last_retire_cycle = None;
     }
 
     /// Finds the newest record whose `from` equals `pc` — how the paper's
     /// experiments locate "the subsequent return" after a probed jump.
     pub fn find_from(&self, pc: VirtAddr) -> Option<&LbrRecord> {
-        self.records.iter().rev().find(|r| r.from == pc)
+        self.iter().rev().find(|r| r.from == pc)
     }
 
     /// Finds the newest record whose target equals `pc`.
     pub fn find_to(&self, pc: VirtAddr) -> Option<&LbrRecord> {
-        self.records.iter().rev().find(|r| r.to == pc)
+        self.iter().rev().find(|r| r.to == pc)
     }
 }
 
 impl fmt::Display for Lbr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "lbr ({} records):", self.records.len())?;
-        for r in &self.records {
+        writeln!(f, "lbr ({} records):", self.len)?;
+        for r in self.iter() {
             writeln!(
                 f,
                 "  {} -> {} @{} (+{}{})",
@@ -280,6 +315,82 @@ mod tests {
         lbr.record(addr(7), addr(100), 10, false);
         assert!(lbr.find_to(addr(100)).is_some());
         assert!(lbr.find_to(addr(7)).is_none());
+    }
+
+    /// The `VecDeque` model the ring replaced, kept as a reference.
+    #[derive(Default)]
+    struct DequeLbr {
+        records: std::collections::VecDeque<LbrRecord>,
+        last_retire_cycle: Option<u64>,
+    }
+
+    impl DequeLbr {
+        fn record_jittered(&mut self, from: VirtAddr, to: VirtAddr, cycle: u64, jitter: u64) {
+            let elapsed = match self.last_retire_cycle {
+                None => 0,
+                Some(last) if cycle >= last => cycle - last,
+                Some(_) => 1,
+            };
+            self.last_retire_cycle = Some(cycle);
+            if self.records.len() == LBR_DEPTH {
+                self.records.pop_front();
+            }
+            self.records.push_back(LbrRecord {
+                from,
+                to,
+                cycle,
+                elapsed: elapsed + jitter,
+                mispredicted: from.value() % 2 == 1,
+            });
+        }
+
+        fn clear(&mut self) {
+            self.records.clear();
+            self.last_retire_cycle = None;
+        }
+    }
+
+    #[test]
+    fn ring_order_matches_a_deque_reference() {
+        let mut lbr = Lbr::new();
+        let mut reference = DequeLbr::default();
+        let mut cycle = 1_000u64;
+        // Three wraps of the ring, a clear part-way through the second and
+        // one right after a wrap, jitter on every third record and a
+        // backwards clock step now and then.
+        for i in 0..3 * LBR_DEPTH as u64 + 7 {
+            if i == 45 || i == 2 * LBR_DEPTH as u64 + 1 {
+                lbr.clear();
+                reference.clear();
+            }
+            cycle = if i % 11 == 10 {
+                cycle - 3
+            } else {
+                cycle + i % 7
+            };
+            let jitter = if i % 3 == 0 { i % 5 } else { 0 };
+            let (from, to) = (addr(i), addr(i + 0x100));
+            if jitter == 0 && i % 2 == 0 {
+                lbr.record(from, to, cycle, i % 2 == 1);
+            } else {
+                lbr.record_jittered(from, to, cycle, i % 2 == 1, jitter);
+            }
+            reference.record_jittered(from, to, cycle, jitter);
+
+            let ring: Vec<LbrRecord> = lbr.iter().copied().collect();
+            let expected: Vec<LbrRecord> = reference.records.iter().copied().collect();
+            assert_eq!(ring, expected, "after record {i}");
+            let (older, newer) = lbr.as_slices();
+            assert_eq!(
+                [older, newer].concat(),
+                expected,
+                "as_slices after record {i}"
+            );
+            assert_eq!(lbr.len(), expected.len());
+            assert_eq!(lbr.last(), expected.last());
+            let newest_first: Vec<LbrRecord> = lbr.iter().rev().copied().collect();
+            assert!(newest_first.iter().eq(expected.iter().rev()));
+        }
     }
 
     #[test]

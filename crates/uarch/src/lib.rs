@@ -44,11 +44,17 @@ mod lbr;
 mod mem;
 mod perturb;
 
+/// The random-program generator of the differential suites in `tests/`,
+/// shared with the unit tests that need crate-private access.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_programs;
+
 pub use btb::{BranchKind, Btb, BtbHit, BtbStats, DomainId};
 pub use config::{BtbGeometry, CpuGeneration, TimingModel, UarchConfig};
 pub use core::{Core, CoreStats, Machine, RetiredInst, RunExit, StepResult};
 pub use decoded::DecodedImage;
-pub use events::{EventLog, FrontEndEvent, SquashCause};
+pub use events::SquashCause;
 pub use exec::{execute, ArchState, ControlOutcome, ExecOutcome, MemAccess};
 pub use lbr::{Lbr, LbrRecord, LBR_DEPTH};
 pub use mem::{Bus, Memory, SpecOverlay};
