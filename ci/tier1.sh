@@ -157,7 +157,7 @@ EOF
 # statistic it tallies (core, BTB and nv-obs counters, attack outputs),
 # checked identical at campaign threads 1 and 2; it must equal the value
 # pinned for each workload at seed 1.
-for pinned in nvs-extract:e43b46777d24f5b2 nvu-leak:7d5c6f24a0386ae1 serve-small:67f1c20a4532be6c; do
+for pinned in nvs-extract:b36892547f184968 nvu-leak:7d5c6f24a0386ae1 serve-small:67f1c20a4532be6c; do
     workload=${pinned%%:*}
     out=$(cargo run --quiet --release --offline --manifest-path nvbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 1)

@@ -9,7 +9,8 @@
 //!    *number* of the upcoming instruction (Fig. 9 lines 2–4);
 //! 3. **NV-Core**: per stepped instruction, prime attacker PWs, step,
 //!    probe — learning which page-offset ranges the instruction (and its
-//!    speculative shadow) covered;
+//!    speculative shadow) covered. Probing re-runs the attacker chain, so
+//!    each probe is the next step's prime;
 //! 4. **PW traversal** (Fig. 10): across deterministic re-executions,
 //!    windows shrink from 32 bytes down to a single byte — first a sweep of
 //!    128 disjoint 32-byte windows (`128/N` runs), then a binary search in
@@ -503,9 +504,12 @@ impl NvSupervisor {
         Ok(())
     }
 
-    /// One extraction run: reset, controlled channel, and per step: build
-    /// rig from `choose_pws`, calibrate+prime, step, probe, report the
-    /// matches to `observe` (keyed by step index).
+    /// One extraction run: reset, controlled channel, and per step: take
+    /// the windows from `choose_pws`, step, probe, and report the matches
+    /// to `observe` (keyed by step index). A rig is built and calibrated
+    /// only when the windows change; otherwise the previous step's probe
+    /// is this step's prime, and an unmeasured step in between costs one
+    /// re-prime.
     fn stepped_run_once(
         &self,
         enclave: &mut Enclave,
@@ -520,6 +524,9 @@ impl NvSupervisor {
             enclave.page_table_mut().set_executable(page, false);
         }
         let mut rig_cache: Option<(Vec<PwSpec>, AttackerRig)> = None;
+        // Whether the victim stepped unmeasured since the cached rig's last
+        // probe, which may have disturbed the entries it primed.
+        let mut stale = false;
         // Page faults are absorbed inside the step loop below, so each outer
         // iteration retires exactly one instruction and `index` can double as
         // the step budget counter.
@@ -530,21 +537,25 @@ impl NvSupervisor {
             }
             let state = &steps[index];
             let pws = choose_pws(state);
-            // Prime (skip when this step has nothing to measure).
-            if !pws.is_empty() {
-                let rebuild = match &rig_cache {
-                    Some((cached, _)) => cached != &pws,
-                    None => true,
-                };
-                if rebuild {
-                    let mut rig = AttackerRig::new(pws.clone())?;
-                    rig.calibrate(core)?;
-                    rig_cache = Some((pws.clone(), rig));
-                } else if let Some((_, rig)) = rig_cache.as_mut() {
-                    // Re-calibrating refreshes the prime and absorbs any
-                    // victim residue from the previous step.
-                    rig.calibrate(core)?;
+            // Prime: calibrating a new rig primes it, and so does the
+            // previous step's probe, unless the victim stepped unmeasured
+            // since.
+            if pws.is_empty() {
+                stale = true;
+            } else {
+                match rig_cache.as_mut() {
+                    Some((cached, rig)) if *cached == pws => {
+                        if stale {
+                            rig.prime(core)?;
+                        }
+                    }
+                    _ => {
+                        let mut rig = AttackerRig::new(pws.clone())?;
+                        rig.calibrate(core)?;
+                        rig_cache = Some((pws.clone(), rig));
+                    }
                 }
+                stale = false;
             }
             // Step (handling controlled-channel faults transparently).
             let step = loop {
@@ -592,7 +603,9 @@ impl NvSupervisor {
 mod tests {
     use super::*;
     use nv_isa::{Assembler, Cond, Reg};
+    use nv_obs::Recorder;
     use nv_uarch::{Perturbation, UarchConfig};
+    use nv_victims::{GcdVictim, VictimConfig};
 
     fn extract(build: impl FnOnce(&mut Assembler)) -> (ExtractedTrace, Vec<VirtAddr>) {
         let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
@@ -621,16 +634,18 @@ mod tests {
         (trace, truth)
     }
 
+    fn straight_line(asm: &mut Assembler) {
+        asm.mov_ri(Reg::R0, 1); // 7 bytes
+        asm.add_ri8(Reg::R0, 2); // 4
+        asm.nop(); // 1
+        asm.mul_rr(Reg::R0, Reg::R0); // 4
+        asm.mov_abs(Reg::R1, 42); // 10
+        asm.halt();
+    }
+
     #[test]
     fn straight_line_code_extracted_exactly() {
-        let (trace, truth) = extract(|asm| {
-            asm.mov_ri(Reg::R0, 1); // 7 bytes
-            asm.add_ri8(Reg::R0, 2); // 4
-            asm.nop(); // 1
-            asm.mul_rr(Reg::R0, Reg::R0); // 4
-            asm.mov_abs(Reg::R1, 42); // 10
-            asm.halt();
-        });
+        let (trace, truth) = extract(straight_line);
         assert_eq!(trace.len(), truth.len());
         assert_eq!(
             trace.accuracy_against(&truth),
@@ -639,6 +654,74 @@ mod tests {
             trace.pcs(),
             truth
         );
+    }
+
+    #[test]
+    fn rigs_are_calibrated_once_and_every_probe_primes_the_next_step() {
+        // The straight-line program: six steps, all in the page's first
+        // 32-byte block, at offsets 0, 7, 11, 12, 16 and 26 (the halt).
+        // Each of the 21 runs (16 sweep, 4 halvings, 1 final) probes every
+        // step once and re-primes once, after the page fault on entry. A
+        // rig is calibrated only where the windows change from one step to
+        // the next: once per sweep run (all steps share a page) = 16;
+        // halving runs 1-4 measure the intervals [0,32); [0,16) x4 and
+        // [16,32) x2; [0,8) [0,8) [8,16) [8,16) [16,24) [24,32); then six
+        // distinct ones = 1 + 2 + 4 + 6; the final run six distinct
+        // two-byte windows = 6.
+        let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
+        straight_line(&mut asm);
+        let mut enclave = Enclave::new(asm.finish().unwrap());
+        let mut core = Core::new(UarchConfig::default());
+        core.attach_obs(Recorder::new(0));
+        let trace = NvSupervisor::default()
+            .extract_trace(&mut enclave, &mut core)
+            .unwrap();
+        assert_eq!(trace.len(), 6);
+        let metrics = core.detach_obs().unwrap().metrics();
+        let spans = |phase| metrics.phase(phase).map_or(0, |stats| stats.count);
+        assert_eq!(spans(Phase::Calibrate), 16 + (1 + 2 + 4 + 6) + 6);
+        assert_eq!(spans(Phase::Probe), 21 * 6);
+        assert_eq!(spans(Phase::Prime), 21);
+    }
+
+    #[test]
+    fn an_unmeasured_step_is_not_reported_by_the_next_probe() {
+        // Step 1 runs inside the monitored window [64, 96) but measures
+        // nothing; step 2 runs far from it. Step 2's probe must read
+        // quiet: the rig is re-primed after the unmeasured step rather
+        // than trusting the probe of step 0.
+        let base = VirtAddr::new(0x40_0000);
+        let mut asm = Assembler::new(base);
+        asm.jmp32("inside");
+        asm.pad_to(base.offset(64));
+        asm.label("inside");
+        asm.jmp32("far");
+        asm.pad_to(base.offset(200));
+        asm.label("far");
+        asm.nop();
+        asm.halt();
+        let mut enclave = Enclave::new(asm.finish().unwrap());
+        let mut core = Core::new(UarchConfig::default());
+        let supervisor = NvSupervisor::default();
+        let mut steps = supervisor.reconnaissance(&mut enclave, &mut core).unwrap();
+        assert_eq!(steps.len(), 4);
+        steps[1].lo = u64::MAX;
+        let window = PwSpec::new(base.offset(64), BLOCK_BYTES).unwrap();
+        let mut matched = vec![None; steps.len()];
+        supervisor
+            .stepped_run_once(
+                &mut enclave,
+                &mut core,
+                &steps,
+                |state| match state.lo {
+                    u64::MAX => Vec::new(),
+                    _ => vec![window],
+                },
+                |index, hits| matched[index] = Some(hits[0]),
+            )
+            .unwrap();
+        assert_eq!(matched[1], None);
+        assert_eq!(matched[2], Some(false), "{matched:?}");
     }
 
     #[test]
@@ -789,6 +872,45 @@ mod tests {
             squash_per_million: 0,
         };
         assert_eq!(extract_with(Resilience::paper_robust(), jitter), single);
+    }
+
+    #[test]
+    fn voted_extraction_of_hardened_gcd_survives_evictions_and_jitter() {
+        // A branchy, page-spanning victim under cross-tenant evictions and
+        // timer jitter (and, at paper-calibrated noise, preemption
+        // squashes): whole-run voting must still reproduce the quiet
+        // single-shot trace exactly.
+        let victim = GcdVictim::build(27, 12, &VictimConfig::paper_hardened()).unwrap();
+        let extract_with = |resilience: Resilience, perturbation: Perturbation| {
+            let mut enclave = Enclave::new(victim.program().clone());
+            let mut core = Core::new(UarchConfig {
+                perturbation,
+                ..UarchConfig::default()
+            });
+            NvSupervisor::new(SupervisorConfig {
+                resilience,
+                ..SupervisorConfig::default()
+            })
+            .extract_trace(&mut enclave, &mut core)
+            .unwrap()
+            .pcs()
+        };
+
+        let quiet = extract_with(Resilience::none(), Perturbation::none());
+        assert!(!quiet.is_empty());
+        let evict_and_jitter = Perturbation {
+            seed: 7,
+            eviction_interval: 900,
+            jitter_amplitude: 5,
+            squash_per_million: 0,
+        };
+        for noise in [evict_and_jitter, Perturbation::paper_calibrated(7)] {
+            assert_eq!(
+                extract_with(Resilience::paper_robust(), noise),
+                quiet,
+                "{noise:?}"
+            );
+        }
     }
 
     #[test]

@@ -672,6 +672,33 @@ mod tests {
     }
 
     #[test]
+    fn every_probe_primes_the_next_round() {
+        // NV-S calibrates a rig once and then relies on each probe having
+        // re-primed the chain. One 8 x 32 B sweep chain, calibrated once:
+        // every later round must report exactly the window the victim
+        // touched since the previous probe, and nothing after a round in
+        // which the victim did not run.
+        let base = 0x40_0000;
+        let pws = (0..8)
+            .map(|w| PwSpec::new(VirtAddr::new(base + 32 * w), 32).unwrap())
+            .collect();
+        let mut rig = AttackerRig::new(pws).unwrap();
+        let mut core = core();
+        rig.calibrate(&mut core).unwrap();
+        let rounds = [3, 0, 7, 5, 1, 6, 2, 4].map(Some);
+        for touched in rounds.into_iter().chain([None]).chain(rounds) {
+            let mut expected = vec![false; 8];
+            if let Some(window) = touched {
+                expected[window] = true;
+                let mut victim = victim_nops(base + 32 * window as u64 + 8, 4);
+                core.reset_frontend();
+                core.run(&mut victim, 100);
+            }
+            assert_eq!(rig.probe(&mut core).unwrap(), expected, "{touched:?}");
+        }
+    }
+
+    #[test]
     fn two_byte_window_works() {
         // The minimal snippet: a bare 2-byte jump.
         let pw = PwSpec::new(VirtAddr::new(0x40_0104), 2).unwrap();

@@ -61,8 +61,24 @@ fn overload_is_rejected_typed_and_census_balances() {
     config.queue_cap = 2;
     let server = Server::start(config).unwrap();
 
-    // Flood from one thread faster than one worker can drain: with a
-    // cap of 2, some admissions must bounce.
+    // Hold the single worker with a long NV-S job (1000 extractions) so
+    // the flood below meets a queue nothing drains: with a cap of 2, some
+    // admissions must bounce. The blocker is cancelled after the flood.
+    let blocker_spec = JobSpec {
+        trials: 1_000,
+        ..JobSpec::nv_s(1)
+    };
+    let mut blocker_client = Client::connect(server.addr()).unwrap();
+    let Submission::Accepted { job: blocker, .. } =
+        blocker_client.submit("blocker", &blocker_spec).unwrap()
+    else {
+        panic!("the blocker must be admitted");
+    };
+    let mut ops = Client::connect(server.addr()).unwrap();
+    while ops.status(blocker).unwrap().0 != "running" {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
     let mut accepted = Vec::new();
     let mut rejected = 0u64;
     let mut clients = Vec::new();
@@ -81,6 +97,7 @@ fn overload_is_rejected_typed_and_census_balances() {
         }
     }
     assert!(rejected > 0, "a cap of 2 must reject under a 12-job flood");
+    assert_eq!(ops.cancel(blocker).unwrap(), "running");
 
     // Every accepted stream finishes.
     for mut client in clients {
@@ -96,9 +113,12 @@ fn overload_is_rejected_typed_and_census_balances() {
         }
     }
 
-    let mut client = Client::connect(server.addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.submitted, accepted.len() as u64);
+    let stats = ops.stats().unwrap();
+    assert_eq!(
+        stats.submitted,
+        accepted.len() as u64 + 1,
+        "the flood and the blocker"
+    );
     assert_eq!(stats.rejected, rejected);
     assert_eq!(stats.completed, accepted.len() as u64);
     assert!(stats.peak_queue_depth <= stats.queue_cap);
@@ -257,12 +277,25 @@ fn shutdown_with_queued_jobs_resumes_byte_identical_on_restart() {
         digests
     };
 
-    // Submit all three, then shut down before the single slow worker can
-    // finish the tail: the queued jobs are abandoned to the journal.
+    // Hold the single worker with a long NV-S job (1000 extractions), queue
+    // all three behind it, then shut down: the queued jobs are abandoned
+    // to the journal. Shutdown waits for running jobs, so the blocker is
+    // cancelled once the queue has been cleared, over a connection opened
+    // beforehand (shutdown stops accepting new ones).
     let jobs: Vec<u64> = {
         let mut config = ServerConfig::new(&spool);
         config.workers = 1;
         let server = Server::start(config).unwrap();
+        let blocker_spec = JobSpec {
+            trials: 1_000,
+            ..JobSpec::nv_s(1)
+        };
+        let mut blocker_client = Client::connect(server.addr()).unwrap();
+        let Submission::Accepted { job: blocker, .. } =
+            blocker_client.submit("blocker", &blocker_spec).unwrap()
+        else {
+            panic!("the blocker must be admitted");
+        };
         let mut ids = Vec::new();
         let mut clients = Vec::new();
         for spec in &specs {
@@ -273,7 +306,17 @@ fn shutdown_with_queued_jobs_resumes_byte_identical_on_restart() {
             }
             clients.push(client);
         }
-        server.shutdown();
+        let mut ops = Client::connect(server.addr()).unwrap();
+        while ops.status(blocker).unwrap().0 != "running" {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(ops.stats().unwrap().queue_depth, 3, "all three queued");
+        let shutdown = std::thread::spawn(move || server.shutdown());
+        while ops.stats().unwrap().queue_depth != 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(ops.cancel(blocker).unwrap(), "running");
+        shutdown.join().unwrap();
         ids
     };
 
