@@ -25,9 +25,9 @@ fn gcd_experiment(runs: usize, noiseless: bool, threads: usize) {
     // Keygen is a sequential stream: draw every run's operands up front
     // (cheap), then fan the expensive attacks out.
     let samples = RsaKeygen::new(2023).runs(runs);
-    let (total_iters, correct) = Campaign::new(runs).threads(threads).run_fold(
-        (0usize, 0usize),
-        |trial| {
+    let (total_iters, correct) = Campaign::new(runs)
+        .threads(threads)
+        .run(|trial| {
             let sample = &samples[trial.index];
             let victim = GcdVictim::build(
                 sample.secret,
@@ -50,9 +50,11 @@ fn gcd_experiment(runs: usize, noiseless: bool, threads: usize) {
             let truth = victim.directions();
             let correct = inferred.iter().zip(truth).filter(|(a, b)| a == b).count();
             (truth.len(), correct)
-        },
-        |(iters, ok), (trial_iters, trial_ok)| (iters + trial_iters, ok + trial_ok),
-    );
+        })
+        .into_iter()
+        .fold((0usize, 0usize), |(iters, ok), (trial_iters, trial_ok)| {
+            (iters + trial_iters, ok + trial_ok)
+        });
     let accuracy = 100.0 * correct as f64 / total_iters as f64;
     println!(
         "GCD  : {runs} runs, {total_iters} balanced-branch iterations, accuracy {accuracy:.1}%"
@@ -65,9 +67,9 @@ fn bn_cmp_experiment(runs: usize, threads: usize) {
     let operands: Vec<(u64, u64)> = (0..runs)
         .map(|_| (keygen.next_run().secret | 1, keygen.next_run().secret | 1))
         .collect();
-    let correct = Campaign::new(runs).threads(threads).run_fold(
-        0usize,
-        |trial| {
+    let correct = Campaign::new(runs)
+        .threads(threads)
+        .run(|trial| {
             let (a, b) = operands[trial.index];
             let victim = BnCmpVictim::build(&[a], &[b], &VictimConfig::paper_hardened())
                 .expect("victim builds");
@@ -79,9 +81,9 @@ fn bn_cmp_experiment(runs: usize, threads: usize) {
                 .leak_directions(&mut system, pid, 10_000)
                 .expect("attack completes");
             NvUser::infer_directions(&readings) == victim.directions()
-        },
-        |count, ok| count + usize::from(ok),
-    );
+        })
+        .into_iter()
+        .fold(0usize, |count, ok| count + usize::from(ok));
     println!(
         "bn_cmp: {runs} runs, accuracy {:.1}%  (paper reports 100%)",
         100.0 * correct as f64 / runs as f64
@@ -95,33 +97,31 @@ fn modexp_experiment(runs: usize, threads: usize) {
     let perfect = Campaign::new(runs)
         .master_seed(0xe0e0)
         .threads(threads)
-        .run_fold(
-            0usize,
-            |mut trial| {
-                let modulus = 1_000_003u64;
-                let base = trial.rng.gen_range(2..modulus);
-                let exponent = trial.rng.gen_range(3u64..(1 << 16)) | 1;
-                let victim =
-                    ModExpVictim::build(base, exponent, modulus, &VictimConfig::paper_hardened())
-                        .expect("victim builds");
-                let mut system = System::new(UarchConfig::default());
-                let pid = system.spawn(victim.program().clone());
-                let mut attacker =
-                    NvUser::for_victim(&victim, NoiseModel::none()).expect("attacker builds");
-                let readings = attacker
-                    .leak_directions(&mut system, pid, 100_000)
-                    .expect("attack completes");
-                let inferred = NvUser::infer_directions(&readings);
-                // Reassemble the exponent from the leaked bits (LSB first).
-                let leaked: u64 = inferred
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &bit)| (bit as u64) << i)
-                    .sum();
-                leaked == exponent
-            },
-            |count, ok| count + usize::from(ok),
-        );
+        .run(|mut trial| {
+            let modulus = 1_000_003u64;
+            let base = trial.rng.gen_range(2..modulus);
+            let exponent = trial.rng.gen_range(3u64..(1 << 16)) | 1;
+            let victim =
+                ModExpVictim::build(base, exponent, modulus, &VictimConfig::paper_hardened())
+                    .expect("victim builds");
+            let mut system = System::new(UarchConfig::default());
+            let pid = system.spawn(victim.program().clone());
+            let mut attacker =
+                NvUser::for_victim(&victim, NoiseModel::none()).expect("attacker builds");
+            let readings = attacker
+                .leak_directions(&mut system, pid, 100_000)
+                .expect("attack completes");
+            let inferred = NvUser::infer_directions(&readings);
+            // Reassemble the exponent from the leaked bits (LSB first).
+            let leaked: u64 = inferred
+                .iter()
+                .enumerate()
+                .map(|(i, &bit)| (bit as u64) << i)
+                .sum();
+            leaked == exponent
+        })
+        .into_iter()
+        .fold(0usize, |count, ok| count + usize::from(ok));
     println!(
         "modexp: {runs} runs, full private exponent recovered in {:.1}% of runs",
         100.0 * perfect as f64 / runs as f64

@@ -7,8 +7,8 @@
 //! 1. one observed NV-S trace extraction — attack-phase span breakdown
 //!    (calibrate/prime/victim-fragment/probe/vote/retry plus the NV-S
 //!    `recon` and `extraction_run` spans) and µarch event counters;
-//! 2. an observed noisy NV-Core campaign through
-//!    `Campaign::run_observed`, re-run at several `--threads` values and
+//! 2. an observed noisy NV-Core campaign through `Campaign::run` with a
+//!    recorder per trial, re-run at several `--threads` values and
 //!    asserted byte-identical;
 //! 3. the disabled-mode overhead of the instrumentation hooks: the GCD
 //!    simulation with an attached-but-disabled recorder must run within

@@ -25,6 +25,7 @@
 //! checked-in baseline). Output is byte-identical for any `--threads`
 //! value.
 
+use nightvision::campaign::panic_message;
 use nv_bench::resilience::{run_suite, DEADLINE_STEPS};
 use nv_bench::{arg_value, threads_flag};
 
@@ -51,10 +52,8 @@ fn main() {
     // unexpected panic print as usual.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.contains("injected fault") || m.contains("simulated SIGKILL"));
+        let message = panic_message(info.payload());
+        let injected = message.contains("injected fault") || message.contains("simulated SIGKILL");
         if !injected {
             default_hook(info);
         }

@@ -26,7 +26,6 @@
 
 pub mod chaos_load;
 pub mod experiments;
-pub mod microbench;
 pub mod noise;
 pub mod obs_profile;
 pub mod resilience;

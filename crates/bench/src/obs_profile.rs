@@ -10,8 +10,8 @@
 //!   retry plus the NV-S `recon` and `extraction_run` spans) and the raw
 //!   recorder for Chrome-trace export;
 //! * a **campaign profile** — noisy NV-Core trials fanned out through
-//!   [`Campaign::run_observed`], whose merged [`Metrics`] are
-//!   byte-identical for any thread count;
+//!   [`Campaign::run`], each with its own recorder, whose merged
+//!   [`Metrics`] are byte-identical for any thread count;
 //! * a **disabled-overhead report** — the GCD simulation benchmarked
 //!   with no recorder vs. an attached-but-disabled recorder, in many
 //!   short alternating batch pairs, min-of per arm, so scheduler noise
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use nightvision::campaign::Campaign;
 use nightvision::{NvCore, NvSupervisor, PwSpec, Resilience, SupervisorConfig};
 use nv_isa::{Assembler, VirtAddr};
-use nv_obs::{Metrics, Recorder};
+use nv_obs::{Metrics, Phase, Recorder};
 use nv_os::Enclave;
 use nv_uarch::{Core, Machine, Perturbation, UarchConfig};
 use nv_victims::compile::{compile_gcd, CompileOptions};
@@ -110,10 +110,10 @@ fn build_fragment(entry: u64, nops: usize) -> Machine {
 /// metrics. Like everything routed through the campaign engine, the
 /// output is byte-identical for any `threads` value.
 pub fn campaign_profile(trials: usize, threads: usize) -> (Vec<usize>, Metrics) {
-    Campaign::new(trials)
+    let observed = Campaign::new(trials)
         .master_seed(MASTER_SEED)
         .threads(threads)
-        .run_observed(EVENT_CAPACITY, |mut trial, recorder| {
+        .run(|mut trial| {
             let perturbation = Perturbation {
                 seed: trial.rng.next_u64(),
                 ..Perturbation::paper_calibrated(0)
@@ -122,10 +122,11 @@ pub fn campaign_profile(trials: usize, threads: usize) -> (Vec<usize>, Metrics) 
                 perturbation,
                 ..UarchConfig::default()
             });
-            // Hand the trial's recorder to the core for the duration;
-            // events and spans land in it, and the campaign merges the
-            // per-trial metrics in trial-index order.
-            core.attach_obs(std::mem::replace(recorder, Recorder::disabled()));
+            // A per-trial recorder, opened on a Trial span, rides on the
+            // core for the trial's duration; events and spans land in it.
+            let mut recorder = Recorder::new(EVENT_CAPACITY);
+            recorder.enter(Phase::Trial, 0);
+            core.attach_obs(recorder);
             let mut nv = NvCore::with_resilience(campaign_chain(), Resilience::paper_robust())
                 .expect("nv-core");
             let matched = nv.begin(&mut core).and_then(|()| {
@@ -135,10 +136,22 @@ pub fn campaign_profile(trials: usize, threads: usize) -> (Vec<usize>, Metrics) 
                     core.run(&mut victim, 2_000);
                 })
             });
-            *recorder = core.detach_obs().expect("recorder stays attached");
+            let mut recorder = core.detach_obs().expect("recorder stays attached");
+            recorder.finish();
             // A failed measurement reads as zero overlapping windows.
-            matched.map_or(0, |m| m.iter().filter(|&&hit| hit).count())
+            let matched = matched.map_or(0, |m| m.iter().filter(|&&hit| hit).count());
+            (matched, recorder.metrics())
+        });
+    // Results arrive in trial-index order, so the merge is too.
+    let mut metrics = Metrics::default();
+    let matched = observed
+        .into_iter()
+        .map(|(matched, trial_metrics)| {
+            metrics.merge(&trial_metrics);
+            matched
         })
+        .collect();
+    (matched, metrics)
 }
 
 /// The disabled-mode overhead measurement: ns/iter of the GCD simulation

@@ -156,7 +156,7 @@ impl QuarantineReport {
 /// as anything but `DeadlineExceeded`) or sabotage leaks into the
 /// completed set.
 pub fn quarantine_demo(trials: usize, threads: usize) -> QuarantineReport {
-    let outcomes = Campaign::new(trials)
+    let (outcomes, _) = Campaign::new(trials)
         .master_seed(MASTER_SEED)
         .threads(threads)
         .deadline_steps(DEADLINE_STEPS)
@@ -234,7 +234,7 @@ pub fn retry_demo(trials: usize, threads: usize) -> RetryReport {
         .threads(threads)
         .deadline_steps(DEADLINE_STEPS)
         .failure_policy(FailurePolicy::Retry { budget: 2 })
-        .run_supervised_observed(64, |mut trial, _recorder| {
+        .run_supervised(|mut trial| {
             if trial.index % 4 == 1 {
                 // The attempt's own stream decides the flake: attempt 0
                 // draws the plain-run stream (sabotaged here), retries
@@ -292,14 +292,6 @@ fn demo_campaign(trials: usize, threads: usize) -> Campaign {
         .deadline_steps(DEADLINE_STEPS)
 }
 
-fn encode(v: &u64) -> String {
-    v.to_string()
-}
-
-fn decode(s: &str) -> Option<u64> {
-    s.parse().ok()
-}
-
 /// Runs the campaign against `path`, killing the process (simulated: a
 /// panic that unwinds out of the campaign) once `kill_at` trials have
 /// completed and checkpointed. Returns how many trials had made it to
@@ -309,7 +301,7 @@ fn run_until_killed(campaign: &Campaign, path: &Path, kill_at: usize) -> usize {
     let checkpoint = CampaignCheckpoint::open(path, key).expect("open checkpoint");
     let completed = AtomicUsize::new(checkpoint.completed_trials());
     let result = catch_unwind(AssertUnwindSafe(|| {
-        campaign.resume(&checkpoint, encode, decode, |mut trial| {
+        campaign.resume(&checkpoint, |mut trial| {
             if completed.load(Ordering::SeqCst) >= kill_at {
                 panic!("simulated SIGKILL after {kill_at} checkpointed trials");
             }
@@ -346,7 +338,9 @@ fn fingerprint() -> u64 {
 /// Panics on checkpoint I/O failure; identity violations are reported in
 /// the returned [`ResumeReport`] (and asserted by the caller).
 pub fn resume_demo(trials: usize, kill_at: usize, thread_counts: &[usize]) -> ResumeReport {
-    let baseline = demo_campaign(trials, 1).run_supervised(|mut t| clean_trial(&mut t));
+    let baseline = demo_campaign(trials, 1)
+        .run_supervised(|mut t| clean_trial(&mut t))
+        .0;
     let mut identical = true;
     let mut reexecuted = Vec::new();
     for &threads in thread_counts {
@@ -366,7 +360,7 @@ pub fn resume_demo(trials: usize, kill_at: usize, thread_counts: &[usize]) -> Re
         let key = campaign.checkpoint_key(fingerprint());
         let checkpoint = CampaignCheckpoint::open(&path, key).expect("reopen after kill");
         let ran = AtomicUsize::new(0);
-        let resumed = campaign.resume(&checkpoint, encode, decode, |mut trial| {
+        let (resumed, _) = campaign.resume(&checkpoint, |mut trial| {
             ran.fetch_add(1, Ordering::Relaxed);
             clean_trial(&mut trial)
         });
@@ -403,7 +397,9 @@ pub struct CorruptionReport {
 /// must degrade to re-execution, not to an error).
 pub fn corruption_demo(trials: usize, threads: usize) -> CorruptionReport {
     use std::io::Write;
-    let baseline = demo_campaign(trials, 1).run_supervised(|mut t| clean_trial(&mut t));
+    let baseline = demo_campaign(trials, 1)
+        .run_supervised(|mut t| clean_trial(&mut t))
+        .0;
     let campaign = demo_campaign(trials, threads);
     let path = scratch_path("corrupt");
     let kill_at = trials / 2;
@@ -424,9 +420,7 @@ pub fn corruption_demo(trials: usize, threads: usize) -> CorruptionReport {
     let checkpoint = CampaignCheckpoint::open(&path, key).expect("damaged checkpoint must open");
     let dropped = checkpoint.dropped_records();
     assert!(dropped >= 1, "the torn tail must be counted as dropped");
-    let resumed = campaign.resume(&checkpoint, encode, decode, |mut trial| {
-        clean_trial(&mut trial)
-    });
+    let (resumed, _) = campaign.resume(&checkpoint, |mut trial| clean_trial(&mut trial));
     let _ = std::fs::remove_file(&path);
     CorruptionReport {
         dropped_records: dropped,

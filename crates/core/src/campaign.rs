@@ -11,11 +11,26 @@
 //! * every trial gets its own [`nv_rand::Rng::stream`] child generator,
 //!   derived from the campaign's master seed and the trial index — never
 //!   from scheduling order;
-//! * workers pull indices from a shared atomic counter (no per-thread
-//!   pre-partitioning, so stragglers don't idle the pool);
+//! * workers claim runs of indices from a shared atomic counter, each
+//!   run a share of what is left (no per-thread pre-partitioning, so
+//!   stragglers don't idle the pool, and one claim covers many cheap
+//!   trials);
 //! * results land in their trial-index slot and are returned in index
 //!   order, so folds over the output are oblivious to which worker ran
 //!   which trial.
+//!
+//! Three entry points share one worker loop:
+//!
+//! * [`Campaign::run`] — plain trials; the first panic aborts the
+//!   campaign and re-raises on the caller;
+//! * [`Campaign::run_supervised`] — fallible trials whose panics, typed
+//!   errors and deadline overruns become [`TrialOutcome`]s under the
+//!   configured [`FailurePolicy`], plus the campaign's lifecycle
+//!   [`Metrics`] (trial spans, retries, quarantines);
+//! * [`Campaign::resume`] — `run_supervised` for `u64`-valued trials
+//!   against a [`CampaignCheckpoint`]: recorded trials are skipped, fresh
+//!   completions are appended, and a kill at any point resumes to the
+//!   uninterrupted output.
 //!
 //! # Examples
 //!
@@ -42,6 +57,9 @@ use nv_rand::Rng;
 
 use crate::checkpoint::{CampaignCheckpoint, CheckpointKey};
 use crate::error::AttackError;
+
+/// Event records each supervised trial's lifecycle recorder retains.
+const LIFECYCLE_EVENTS: usize = 64;
 
 /// One trial's execution context: its index within the campaign and its
 /// private child generator (stream `index` of the campaign's master seed).
@@ -121,7 +139,7 @@ impl<T> TrialOutcome<T> {
 /// not complete.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FailurePolicy {
-    /// First failure aborts the whole campaign — today's [`Campaign::run`]
+    /// First failure aborts the whole campaign — [`Campaign::run`]'s
     /// semantics. A panicking trial re-raises its original payload on the
     /// calling thread; a typed error or deadline panics with a descriptive
     /// message.
@@ -193,19 +211,19 @@ impl Campaign {
         self
     }
 
-    /// Sets the failure policy for the supervised paths
-    /// ([`Campaign::run_supervised`] and friends). [`Campaign::run`]
-    /// ignores it — unsupervised runs always abort on failure.
+    /// Sets the failure policy of [`Campaign::run_supervised`] and
+    /// [`Campaign::resume`]. [`Campaign::run`] ignores it — plain runs
+    /// always abort on failure.
     #[must_use]
     pub fn failure_policy(mut self, policy: FailurePolicy) -> Campaign {
         self.policy = policy;
         self
     }
 
-    /// Sets a per-trial watchdog budget in retirement steps. Supervised
-    /// trials receive it as [`Trial::deadline`] and arm it on their core
-    /// with [`Trial::arm`]; a trial that exceeds it becomes a
-    /// [`TrialOutcome::DeadlineExceeded`] instead of a hung worker.
+    /// Sets a per-trial watchdog budget in retirement steps. Trials
+    /// receive it as [`Trial::deadline`] and arm it on their core with
+    /// [`Trial::arm`]; under supervision a trial that exceeds it becomes
+    /// a [`TrialOutcome::DeadlineExceeded`] instead of a hung worker.
     #[must_use]
     pub fn deadline_steps(mut self, steps: u64) -> Campaign {
         self.deadline = Some(steps);
@@ -251,128 +269,7 @@ impl Campaign {
         T: Send,
         F: Fn(Trial) -> T + Sync,
     {
-        let make_trial = |index: usize| Trial {
-            index,
-            rng: Rng::stream(self.master_seed, index as u64),
-            deadline: self.deadline,
-        };
-
-        if self.threads == 1 || self.trials <= 1 {
-            return (0..self.trials).map(|i| trial_fn(make_trial(i))).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let workers = self.threads.min(self.trials);
-        // Each worker accumulates `(index, result)` pairs privately — no
-        // shared lock on the result path — and the pairs are merged into
-        // index order after the joins. A panicking trial is caught in the
-        // worker (`AssertUnwindSafe` is sound here: the panicked trial's
-        // state is abandoned and the payload is re-raised below, so no
-        // broken invariant is ever observed), raises the abort flag, and
-        // hands its payload back through the join.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut completed = Vec::new();
-                        loop {
-                            if abort.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= self.trials {
-                                break;
-                            }
-                            match catch_unwind(AssertUnwindSafe(|| trial_fn(make_trial(index)))) {
-                                Ok(result) => completed.push((index, result)),
-                                Err(payload) => {
-                                    abort.store(true, Ordering::SeqCst);
-                                    return Err(payload);
-                                }
-                            }
-                        }
-                        Ok(completed)
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<T>> = (0..self.trials).map(|_| None).collect();
-            let mut first_panic = None;
-            for handle in handles {
-                match handle
-                    .join()
-                    .expect("campaign worker died outside a trial closure")
-                {
-                    Ok(completed) => {
-                        for (index, result) in completed {
-                            slots[index] = Some(result);
-                        }
-                    }
-                    Err(payload) => {
-                        if first_panic.is_none() {
-                            first_panic = Some(payload);
-                        }
-                    }
-                }
-            }
-            if let Some(payload) = first_panic {
-                resume_unwind(payload);
-            }
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every trial index was claimed"))
-                .collect()
-        })
-    }
-
-    /// Runs the campaign with a per-trial observability [`Recorder`] and
-    /// returns the per-trial results (in trial-index order) alongside the
-    /// aggregated [`Metrics`].
-    ///
-    /// Every trial gets a fresh recorder with `event_capacity` retained
-    /// event records, pre-opened on a [`Phase::Trial`] span; the closure
-    /// reports into it (typically by attaching it to a `Core` for the
-    /// trial's duration). Per-trial metrics are merged **in trial-index
-    /// order**, so — like [`Campaign::run`] itself — the aggregate is
-    /// byte-identical for any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Propagates trial panics exactly like [`Campaign::run`].
-    pub fn run_observed<T, F>(&self, event_capacity: usize, trial_fn: F) -> (Vec<T>, Metrics)
-    where
-        T: Send,
-        F: Fn(Trial, &mut Recorder) -> T + Sync,
-    {
-        let observed = self.run(|trial| {
-            let mut recorder = Recorder::new(event_capacity);
-            recorder.enter(Phase::Trial, 0);
-            let result = trial_fn(trial, &mut recorder);
-            recorder.finish();
-            (result, recorder.metrics())
-        });
-        let mut metrics = Metrics::default();
-        let mut results = Vec::with_capacity(observed.len());
-        for (result, trial_metrics) in observed {
-            metrics.merge(&trial_metrics);
-            results.push(result);
-        }
-        (results, metrics)
-    }
-
-    /// Runs the campaign and folds the per-trial results in trial-index
-    /// order — the common "merge into one aggregate" shape.
-    pub fn run_fold<T, A, F, M>(&self, init: A, trial_fn: F, mut merge: M) -> A
-    where
-        T: Send,
-        F: Fn(Trial) -> T + Sync,
-        M: FnMut(A, T) -> A,
-    {
-        let mut acc = init;
-        for result in self.run(trial_fn) {
-            acc = merge(acc, result);
-        }
-        acc
+        self.engine(|index, _| Ok(trial_fn(self.trial(index, 0)))).0
     }
 
     /// Runs the campaign under supervision: every trial's panics, typed
@@ -385,53 +282,48 @@ impl Campaign {
     /// the trial, it never touches its RNG stream — and results arrive in
     /// trial-index order regardless of thread count, exactly like `run`.
     ///
+    /// The returned [`Metrics`] hold the engine's own lifecycle record:
+    /// one [`Phase::Trial`] span per trial, and an
+    /// [`ObsEvent::TrialRetried`] per retry attempt and an
+    /// [`ObsEvent::TrialQuarantined`] per written-off trial under
+    /// [`Phase::Retry`]/[`Phase::Quarantine`] spans. They too are
+    /// byte-identical at any thread count.
+    ///
     /// # Panics
     ///
     /// Under [`FailurePolicy::Abort`], the first failing trial aborts the
     /// campaign (panics re-raise their original payload). Under
     /// [`FailurePolicy::Quarantine`], exceeding `max_failures` aborts.
-    pub fn run_supervised<T, F>(&self, trial_fn: F) -> Vec<TrialOutcome<T>>
+    pub fn run_supervised<T, F>(&self, trial_fn: F) -> (Vec<TrialOutcome<T>>, Metrics)
     where
         T: Send,
         F: Fn(Trial) -> Result<T, AttackError> + Sync,
     {
-        self.supervised_engine(None, None::<PlainCodec<T>>, |trial, _| trial_fn(trial))
-            .0
-    }
-
-    /// [`Campaign::run_supervised`] with a per-trial observability
-    /// [`Recorder`] (see [`Campaign::run_observed`]). On top of the µarch
-    /// events the trial reports, the engine itself emits campaign
-    /// lifecycle events — [`ObsEvent::TrialRetried`] per retry attempt and
-    /// [`ObsEvent::TrialQuarantined`] per written-off trial, under
-    /// [`Phase::Retry`]/[`Phase::Quarantine`] spans — and merges per-trial
-    /// metrics in trial-index order, so the aggregate is byte-identical at
-    /// any thread count.
-    pub fn run_supervised_observed<T, F>(
-        &self,
-        event_capacity: usize,
-        trial_fn: F,
-    ) -> (Vec<TrialOutcome<T>>, Metrics)
-    where
-        T: Send,
-        F: Fn(Trial, &mut Recorder) -> Result<T, AttackError> + Sync,
-    {
-        self.supervised_engine(Some(event_capacity), None::<PlainCodec<T>>, |trial, rec| {
-            trial_fn(
-                trial,
-                rec.expect("observed engine always provides a recorder"),
-            )
+        let failures = AtomicUsize::new(0);
+        self.engine(|index, metrics| {
+            observed(metrics, |rec| {
+                self.supervise(index, rec, &failures, &trial_fn)
+            })
         })
     }
 
-    /// Runs the campaign against a [`CampaignCheckpoint`]: trials already
-    /// recorded in the checkpoint are *skipped* (their results are decoded
-    /// and returned as [`TrialOutcome::Completed`]), the rest run normally
-    /// and append their results as they complete. Killing the process at
-    /// any point and calling `resume` again with a re-opened checkpoint
-    /// yields output byte-identical to an uninterrupted run — at any
-    /// thread count and any interruption point — provided
-    /// `decode(&encode(v))` reproduces `v` exactly.
+    /// [`Campaign::run_supervised`] against a [`CampaignCheckpoint`]:
+    /// trials already recorded in the checkpoint are *skipped* (their
+    /// values are returned as [`TrialOutcome::Completed`]), the rest run
+    /// normally and append their values as they complete. Killing the
+    /// process at any point and calling `resume` again with a re-opened
+    /// checkpoint yields output byte-identical to an uninterrupted run —
+    /// at any thread count and any interruption point.
+    ///
+    /// Values are stored as decimal strings; a record that does not parse
+    /// as a `u64` is treated as absent and its trial re-runs. On top of
+    /// the supervised lifecycle events, skipped trials emit
+    /// [`ObsEvent::CheckpointResumed`] and fresh completions emit
+    /// [`ObsEvent::CheckpointAppended`], both under [`Phase::Checkpoint`]
+    /// spans. If the checkpoint dropped a torn or corrupt tail when it was
+    /// opened ([`CampaignCheckpoint::resume_report`]), the metrics count
+    /// one [`EventKind::CheckpointTorn`] so daemons surface the damage in
+    /// scrapes instead of losing it on stderr.
     ///
     /// # Panics
     ///
@@ -441,67 +333,14 @@ impl Campaign {
     /// get the fingerprint check too), if checkpoint appends start
     /// failing mid-run (persistence loss is campaign-fatal), or per the
     /// failure policy exactly like [`Campaign::run_supervised`].
-    pub fn resume<T, F, E, D>(
+    pub fn resume<F>(
         &self,
         checkpoint: &CampaignCheckpoint,
-        encode: E,
-        decode: D,
         trial_fn: F,
-    ) -> Vec<TrialOutcome<T>>
+    ) -> (Vec<TrialOutcome<u64>>, Metrics)
     where
-        T: Send,
-        F: Fn(Trial) -> Result<T, AttackError> + Sync,
-        E: Fn(&T) -> String + Sync,
-        D: Fn(&str) -> Option<T> + Sync,
+        F: Fn(Trial) -> Result<u64, AttackError> + Sync,
     {
-        self.assert_checkpoint_matches(checkpoint);
-        self.supervised_engine(None, Some((checkpoint, &encode, &decode)), |trial, _| {
-            trial_fn(trial)
-        })
-        .0
-    }
-
-    /// [`Campaign::resume`] with per-trial observability: in addition to
-    /// the supervised lifecycle events, skipped trials emit
-    /// [`ObsEvent::CheckpointResumed`] and fresh completions emit
-    /// [`ObsEvent::CheckpointAppended`], both under [`Phase::Checkpoint`]
-    /// spans, merged deterministically in trial-index order. If the
-    /// checkpoint dropped a torn or corrupt tail when it was opened
-    /// ([`CampaignCheckpoint::resume_report`]), the merged metrics count
-    /// one [`EventKind::CheckpointTorn`] so daemons surface the damage in
-    /// scrapes instead of losing it on stderr.
-    pub fn resume_observed<T, F, E, D>(
-        &self,
-        event_capacity: usize,
-        checkpoint: &CampaignCheckpoint,
-        encode: E,
-        decode: D,
-        trial_fn: F,
-    ) -> (Vec<TrialOutcome<T>>, Metrics)
-    where
-        T: Send,
-        F: Fn(Trial, &mut Recorder) -> Result<T, AttackError> + Sync,
-        E: Fn(&T) -> String + Sync,
-        D: Fn(&str) -> Option<T> + Sync,
-    {
-        self.assert_checkpoint_matches(checkpoint);
-        let (outcomes, mut metrics) = self.supervised_engine(
-            Some(event_capacity),
-            Some((checkpoint, &encode, &decode)),
-            |trial, rec| {
-                trial_fn(
-                    trial,
-                    rec.expect("observed engine always provides a recorder"),
-                )
-            },
-        );
-        if checkpoint.resume_report().is_torn() {
-            metrics.event_counts[EventKind::CheckpointTorn.index()] += 1;
-        }
-        (outcomes, metrics)
-    }
-
-    fn assert_checkpoint_matches(&self, checkpoint: &CampaignCheckpoint) {
         let key = checkpoint.key();
         assert!(
             key.master_seed == self.master_seed && key.trials == self.trials as u64,
@@ -512,147 +351,185 @@ impl Campaign {
             self.master_seed,
             self.trials,
         );
-    }
-
-    /// The shared supervised engine behind `run_supervised[_observed]` and
-    /// `resume[_observed]`.
-    ///
-    /// `observe` is the per-trial recorder event capacity (`None` =
-    /// unobserved); `checkpoint` carries the store plus encode/decode
-    /// callbacks. Each trial index runs to a final [`TrialOutcome`]
-    /// (retrying per policy), which the failure policy then admits or
-    /// converts into a campaign abort. Results and metrics merge in
-    /// trial-index order; abort payloads re-raise on the calling thread.
-    fn supervised_engine<T, F>(
-        &self,
-        observe: Option<usize>,
-        checkpoint: Option<Codec<'_, T>>,
-        trial_fn: F,
-    ) -> (Vec<TrialOutcome<T>>, Metrics)
-    where
-        T: Send,
-        F: Fn(Trial, Option<&mut Recorder>) -> Result<T, AttackError> + Sync,
-    {
         let failures = AtomicUsize::new(0);
-        // Runs one trial index to its final outcome and applies the
-        // failure policy: `Ok` feeds the result slots, `Err` carries the
-        // payload the campaign must abort with.
-        let run_one = |index: usize| -> Result<Slot<T>, Payload> {
-            let mut recorder = observe.map(Recorder::new);
-            if let Some(rec) = recorder.as_mut() {
-                rec.enter(Phase::Trial, 0);
-            }
-
-            // Checkpointed trials short-circuit; a payload that fails to
-            // decode is treated as absent and the trial re-runs.
-            if let Some((store, _, decode)) = checkpoint {
-                if let Some(value) = store.data(index).and_then(decode) {
-                    if let Some(rec) = recorder.as_mut() {
-                        rec.enter(Phase::Checkpoint, 0);
-                        rec.event(
-                            0,
-                            ObsEvent::CheckpointResumed {
-                                trial: index as u64,
-                            },
-                        );
-                        rec.exit(Phase::Checkpoint, 0);
-                    }
-                    let metrics = finish(recorder);
-                    return Ok((TrialOutcome::Completed(value), metrics));
-                }
-            }
-
-            let budget = match self.policy {
-                FailurePolicy::Retry { budget } => budget,
-                _ => 0,
-            };
-            let mut outcome = None;
-            let mut last_payload = None;
-            for attempt in 0..=budget {
-                if attempt > 0 {
-                    if let Some(rec) = recorder.as_mut() {
-                        rec.event(
-                            0,
-                            ObsEvent::TrialRetried {
-                                trial: index as u64,
-                                attempt: attempt as u64,
-                            },
-                        );
-                        rec.enter(Phase::Retry, 0);
-                    }
-                }
-                let trial = Trial {
-                    index,
-                    rng: attempt_rng(self.master_seed, index, attempt),
-                    deadline: self.deadline,
-                };
-                // `AssertUnwindSafe` is sound for the same reason as in
-                // `run`: a panicked attempt's state is abandoned (the
-                // recorder only ever gains append-only records, and
-                // `finish` closes any span the panic left open).
-                let result = catch_unwind(AssertUnwindSafe(|| trial_fn(trial, recorder.as_mut())));
-                if attempt > 0 {
-                    if let Some(rec) = recorder.as_mut() {
-                        rec.exit(Phase::Retry, 0);
-                    }
-                }
-                let attempt_outcome = match result {
-                    Ok(Ok(value)) => TrialOutcome::Completed(value),
-                    Ok(Err(AttackError::DeadlineExceeded { consumed, limit })) => {
-                        TrialOutcome::DeadlineExceeded { consumed, limit }
-                    }
-                    Ok(Err(error)) => TrialOutcome::Failed(error),
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        last_payload = Some(payload);
-                        TrialOutcome::Panicked { message }
-                    }
-                };
-                let done = attempt_outcome.is_completed()
-                    // A cancelled trial must not burn its retry budget:
-                    // every further attempt would observe the same raised
-                    // flag and fail identically, only slower.
-                    || matches!(
-                        attempt_outcome,
-                        TrialOutcome::Failed(AttackError::Cancelled)
-                    );
-                outcome = Some(attempt_outcome);
-                if done {
-                    break;
-                }
-            }
-            let outcome = outcome.expect("at least one attempt ran");
-
-            if let (TrialOutcome::Completed(value), Some((store, encode, _))) =
-                (&outcome, checkpoint)
-            {
-                if let Some(rec) = recorder.as_mut() {
+        let (outcomes, mut metrics) = self.engine(|index, metrics| {
+            observed(metrics, |rec| {
+                let trial = index as u64;
+                if let Some(value) = checkpoint.data(index).and_then(|data| data.parse().ok()) {
                     rec.enter(Phase::Checkpoint, 0);
+                    rec.event(0, ObsEvent::CheckpointResumed { trial });
+                    rec.exit(Phase::Checkpoint, 0);
+                    return Ok(TrialOutcome::Completed(value));
                 }
-                if let Err(err) = store.append(index, &encode(value)) {
-                    // Losing persistence mid-run is campaign-fatal: a
-                    // caller trusting the checkpoint must never discover
-                    // at resume time that completions silently vanished.
-                    return Err(Box::new(format!(
-                        "checkpoint append failed for trial {index}: {err}"
-                    )));
-                }
-                if let Some(rec) = recorder.as_mut() {
-                    rec.event(
-                        0,
-                        ObsEvent::CheckpointAppended {
-                            trial: index as u64,
-                        },
-                    );
+                let outcome = self.supervise(index, rec, &failures, &trial_fn)?;
+                if let TrialOutcome::Completed(value) = outcome {
+                    rec.enter(Phase::Checkpoint, 0);
+                    if let Err(err) = checkpoint.append(index, &value.to_string()) {
+                        // Losing persistence mid-run is campaign-fatal: a
+                        // caller trusting the checkpoint must never
+                        // discover at resume time that completions
+                        // silently vanished.
+                        return Err(Box::new(format!(
+                            "checkpoint append failed for trial {index}: {err}"
+                        )));
+                    }
+                    rec.event(0, ObsEvent::CheckpointAppended { trial });
                     rec.exit(Phase::Checkpoint, 0);
                 }
-            }
+                Ok(outcome)
+            })
+        });
+        if checkpoint.resume_report().is_torn() {
+            metrics.event_counts[EventKind::CheckpointTorn.index()] += 1;
+        }
+        (outcomes, metrics)
+    }
 
-            if outcome.is_completed() {
-                return Ok((outcome, finish(recorder)));
+    /// Attempt `attempt` of trial `index`.
+    #[inline]
+    fn trial(&self, index: usize, attempt: usize) -> Trial {
+        Trial {
+            index,
+            rng: attempt_rng(self.master_seed, index, attempt),
+            deadline: self.deadline,
+        }
+    }
+
+    /// The one worker loop behind every entry point. `run_one` takes a
+    /// trial index and the claiming worker's metrics; its `Err` (or a
+    /// panic escaping it) aborts the campaign: the other workers stop
+    /// claiming trials and the payload re-raises on the calling thread.
+    /// Results return in trial-index order with every worker's metrics
+    /// merged — [`Metrics::merge`] only adds, so the sum is the same for
+    /// any split of trials across workers.
+    fn engine<T, F>(&self, run_one: F) -> (Vec<T>, Metrics)
+    where
+        T: Send,
+        F: Fn(usize, &mut Metrics) -> Result<T, Payload> + Sync,
+    {
+        let next = AtomicUsize::new(0);
+        let abort = AtomicBool::new(false);
+        let workers = self.threads.min(self.trials).max(1);
+        // Workers claim runs of consecutive indices sized to a share of
+        // what is left (guided self-scheduling): long runs while the queue
+        // is long keep claims — one atomic each — rare, and single trials
+        // at the tail keep the workers balanced. Each worker keeps its
+        // `(start, results)` runs and its metrics privately, with no shared
+        // lock on the result path. Catching here (`AssertUnwindSafe` is
+        // sound: a panicked trial's state is abandoned and its payload
+        // re-raised below, so no broken invariant is ever observed) raises
+        // the abort flag on every escape route, and every worker checks it
+        // before each trial, so survivors stop promptly instead of draining
+        // the queue.
+        let worker = || {
+            let mut runs = Vec::new();
+            let mut metrics = Metrics::default();
+            'claim: loop {
+                let left = self.trials.saturating_sub(next.load(Ordering::Relaxed));
+                let len = (left / (2 * workers)).max(1);
+                let start = next.fetch_add(len, Ordering::Relaxed);
+                if start >= self.trials {
+                    break;
+                }
+                let mut run = Vec::with_capacity(len);
+                for index in start..(start + len).min(self.trials) {
+                    if abort.load(Ordering::SeqCst) {
+                        break 'claim;
+                    }
+                    match catch_unwind(AssertUnwindSafe(|| run_one(index, &mut metrics))) {
+                        Ok(Ok(result)) => run.push(result),
+                        Ok(Err(payload)) | Err(payload) => {
+                            abort.store(true, Ordering::SeqCst);
+                            return Err(payload);
+                        }
+                    }
+                }
+                runs.push((start, run));
             }
-            match self.policy {
-                FailurePolicy::Abort => Err(match (last_payload, &outcome) {
+            Ok((runs, metrics))
+        };
+        // The calling thread is always one of the workers, so a
+        // one-worker campaign spawns nothing.
+        let finished: Vec<_> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut finished = vec![worker()];
+            finished.extend(helpers.into_iter().map(|helper| {
+                helper
+                    .join()
+                    .expect("campaign worker died outside a trial closure")
+            }));
+            finished
+        });
+        let mut runs = Vec::new();
+        let mut metrics = Metrics::default();
+        for worker in finished {
+            let (worker_runs, worker_metrics) =
+                worker.unwrap_or_else(|payload| resume_unwind(payload));
+            runs.extend(worker_runs);
+            metrics.merge(&worker_metrics);
+        }
+        runs.sort_unstable_by_key(|&(start, _)| start);
+        let mut results = Vec::with_capacity(self.trials);
+        for (_, run) in runs {
+            results.extend(run);
+        }
+        assert_eq!(results.len(), self.trials, "every trial index was claimed");
+        (results, metrics)
+    }
+
+    /// Runs trial `index` to its final outcome, retrying per policy, and
+    /// applies the failure policy: `Err` carries the payload the campaign
+    /// must abort with.
+    fn supervise<T>(
+        &self,
+        index: usize,
+        rec: &mut Recorder,
+        failures: &AtomicUsize,
+        trial_fn: &impl Fn(Trial) -> Result<T, AttackError>,
+    ) -> Result<TrialOutcome<T>, Payload> {
+        let budget = match self.policy {
+            FailurePolicy::Retry { budget } => budget,
+            _ => 0,
+        };
+        let trial = index as u64;
+        let mut attempt = 0;
+        let (outcome, payload) = loop {
+            if attempt > 0 {
+                let attempt = attempt as u64;
+                rec.event(0, ObsEvent::TrialRetried { trial, attempt });
+                rec.enter(Phase::Retry, 0);
+            }
+            // A panicked attempt's state is abandoned; the recorder only
+            // ever gains append-only records, and `finish` closes any span
+            // the panic left open.
+            let result = catch_unwind(AssertUnwindSafe(|| trial_fn(self.trial(index, attempt))));
+            if attempt > 0 {
+                rec.exit(Phase::Retry, 0);
+            }
+            let (outcome, payload) = match result {
+                Ok(Ok(value)) => return Ok(TrialOutcome::Completed(value)),
+                Ok(Err(AttackError::DeadlineExceeded { consumed, limit })) => {
+                    (TrialOutcome::DeadlineExceeded { consumed, limit }, None)
+                }
+                Ok(Err(error)) => (TrialOutcome::Failed(error), None),
+                Err(payload) => {
+                    let message = panic_message(payload.as_ref());
+                    (TrialOutcome::Panicked { message }, Some(payload))
+                }
+            };
+            // A cancelled trial must not burn its retry budget: every
+            // further attempt would observe the same raised flag and fail
+            // identically, only slower.
+            if attempt == budget || matches!(outcome, TrialOutcome::Failed(AttackError::Cancelled))
+            {
+                break (outcome, payload);
+            }
+            attempt += 1;
+        };
+
+        match self.policy {
+            FailurePolicy::Abort => {
+                return Err(match (payload, outcome) {
                     (Some(payload), _) => payload,
                     (None, TrialOutcome::Failed(error)) => Box::new(format!(
                         "trial {index} failed under FailurePolicy::Abort: {error}"
@@ -664,127 +541,53 @@ impl Campaign {
                         ))
                     }
                     (None, _) => unreachable!("panicked outcomes keep their payload"),
-                }),
-                FailurePolicy::Quarantine { max_failures } => {
-                    let failed_so_far = failures.fetch_add(1, Ordering::SeqCst) + 1;
-                    if failed_so_far > max_failures {
-                        return Err(Box::new(format!(
-                            "campaign aborted: {failed_so_far} failed trials exceed \
-                             FailurePolicy::Quarantine {{ max_failures: {max_failures} }}"
-                        )));
-                    }
-                    Ok((
-                        quarantine(outcome, index, recorder.as_mut()),
-                        finish(recorder),
-                    ))
-                }
-                FailurePolicy::Retry { .. } => {
-                    // Retries exhausted: the trial is written off exactly
-                    // like a quarantined one, without a cap — the retry
-                    // budget itself bounds the wasted work.
-                    Ok((
-                        quarantine(outcome, index, recorder.as_mut()),
-                        finish(recorder),
-                    ))
-                }
-            }
-        };
-
-        let workers = self.threads.min(self.trials);
-        if workers <= 1 || self.trials <= 1 {
-            let mut slots = Vec::with_capacity(self.trials);
-            for index in 0..self.trials {
-                match run_one(index) {
-                    Ok(slot) => slots.push(slot),
-                    Err(payload) => resume_unwind(payload),
-                }
-            }
-            return merge_slots(slots.into_iter().map(Some).collect());
-        }
-
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut completed = Vec::new();
-                        loop {
-                            if abort.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= self.trials {
-                                break;
-                            }
-                            // `run_one` catches panics from the trial
-                            // closure, but the resume paths also run
-                            // caller-supplied encode/decode callbacks
-                            // outside that guard; catching here keeps
-                            // every escape route setting the abort flag
-                            // so surviving workers stop promptly instead
-                            // of draining the queue.
-                            match catch_unwind(AssertUnwindSafe(|| run_one(index))) {
-                                Ok(Ok(slot)) => completed.push((index, slot)),
-                                Ok(Err(payload)) | Err(payload) => {
-                                    abort.store(true, Ordering::SeqCst);
-                                    return Err(payload);
-                                }
-                            }
-                        }
-                        Ok(completed)
-                    })
                 })
-                .collect();
-            let mut slots: Vec<Option<Slot<T>>> = (0..self.trials).map(|_| None).collect();
-            let mut first_panic = None;
-            for handle in handles {
-                match handle
-                    .join()
-                    .expect("campaign worker died outside a trial closure")
-                {
-                    Ok(completed) => {
-                        for (index, slot) in completed {
-                            slots[index] = Some(slot);
-                        }
-                    }
-                    Err(payload) => {
-                        if first_panic.is_none() {
-                            first_panic = Some(payload);
-                        }
-                    }
+            }
+            FailurePolicy::Quarantine { max_failures } => {
+                let failed_so_far = failures.fetch_add(1, Ordering::SeqCst) + 1;
+                if failed_so_far > max_failures {
+                    return Err(Box::new(format!(
+                        "campaign aborted: {failed_so_far} failed trials exceed \
+                         FailurePolicy::Quarantine {{ max_failures: {max_failures} }}"
+                    )));
                 }
             }
-            if let Some(payload) = first_panic {
-                resume_unwind(payload);
-            }
-            merge_slots(slots)
-        })
+            // Retries exhausted: the trial is written off exactly like a
+            // quarantined one, without a cap — the retry budget itself
+            // bounds the wasted work.
+            FailurePolicy::Retry { .. } => {}
+        }
+        rec.enter(Phase::Quarantine, 0);
+        rec.event(0, ObsEvent::TrialQuarantined { trial });
+        rec.exit(Phase::Quarantine, 0);
+        Ok(outcome)
     }
 }
 
 /// A caught panic payload.
 type Payload = Box<dyn Any + Send + 'static>;
 
-/// One finished trial: its outcome plus its recorder's aggregate.
-type Slot<T> = (TrialOutcome<T>, Option<Metrics>);
-
-/// Checkpoint store + encode + decode, as passed through the engine.
-type Codec<'a, T> = (
-    &'a CampaignCheckpoint,
-    &'a (dyn Fn(&T) -> String + Sync),
-    &'a (dyn Fn(&str) -> Option<T> + Sync),
-);
-
-/// Type anchor so `run_supervised[_observed]` can pass `None` for the
-/// checkpoint parameter without a turbofish at every call site.
-type PlainCodec<'a, T> = Codec<'a, T>;
+/// Runs one supervised trial on a fresh lifecycle recorder, opened on a
+/// [`Phase::Trial`] span, and folds the recorder into the worker's
+/// `metrics`.
+fn observed<T>(
+    metrics: &mut Metrics,
+    body: impl FnOnce(&mut Recorder) -> Result<T, Payload>,
+) -> Result<T, Payload> {
+    let mut recorder = Recorder::new(LIFECYCLE_EVENTS);
+    recorder.enter(Phase::Trial, 0);
+    let result = body(&mut recorder)?;
+    recorder.finish();
+    metrics.merge(&recorder.metrics());
+    Ok(result)
+}
 
 /// The RNG stream for one attempt of one trial. Attempt 0 is the trial's
 /// own stream — byte-identical to [`Campaign::run`] — and attempt `k` is
 /// the `k`-th [`Rng::split`] drawn from a fresh copy of that stream, so
 /// every retry sees fresh deterministic randomness that depends only on
 /// `(master_seed, index, attempt)`, never on other trials or timing.
+#[inline]
 fn attempt_rng(master_seed: u64, index: usize, attempt: usize) -> Rng {
     let mut parent = Rng::stream(master_seed, index as u64);
     if attempt == 0 {
@@ -797,49 +600,9 @@ fn attempt_rng(master_seed: u64, index: usize, attempt: usize) -> Rng {
     child
 }
 
-/// Marks a written-off trial in its recorder and passes the outcome on.
-fn quarantine<T>(
-    outcome: TrialOutcome<T>,
-    index: usize,
-    recorder: Option<&mut Recorder>,
-) -> TrialOutcome<T> {
-    if let Some(rec) = recorder {
-        rec.enter(Phase::Quarantine, 0);
-        rec.event(
-            0,
-            ObsEvent::TrialQuarantined {
-                trial: index as u64,
-            },
-        );
-        rec.exit(Phase::Quarantine, 0);
-    }
-    outcome
-}
-
-/// Closes a trial recorder and extracts its aggregate.
-fn finish(recorder: Option<Recorder>) -> Option<Metrics> {
-    recorder.map(|mut rec| {
-        rec.finish();
-        rec.metrics()
-    })
-}
-
-/// Splits finished slots into index-ordered outcomes and merged metrics.
-fn merge_slots<T>(slots: Vec<Option<Slot<T>>>) -> (Vec<TrialOutcome<T>>, Metrics) {
-    let mut outcomes = Vec::with_capacity(slots.len());
-    let mut metrics = Metrics::default();
-    for slot in slots {
-        let (outcome, trial_metrics) = slot.expect("every trial index was claimed");
-        if let Some(trial_metrics) = trial_metrics {
-            metrics.merge(&trial_metrics);
-        }
-        outcomes.push(outcome);
-    }
-    (outcomes, metrics)
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+/// Best-effort extraction of a panic payload's message: `&str` and
+/// `String` payloads verbatim, anything else described generically.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -888,16 +651,6 @@ mod tests {
                 assert_ne!(results[i].1, results[j].1, "trials {i}/{j} share a stream");
             }
         }
-    }
-
-    #[test]
-    fn fold_merges_in_order() {
-        let concat = Campaign::new(10).threads(4).run_fold(
-            String::new(),
-            |t| t.index.to_string(),
-            |acc, s| acc + &s,
-        );
-        assert_eq!(concat, "0123456789");
     }
 
     #[test]
@@ -952,7 +705,6 @@ mod tests {
 
     #[test]
     fn panicking_trial_aborts_instead_of_draining_the_queue() {
-        use std::sync::atomic::AtomicUsize;
         // Trial 0 panics immediately; every other trial sleeps, so workers
         // check the abort flag between trials. Without the flag the pool
         // would drain all remaining trials; with it, each worker finishes
@@ -983,7 +735,8 @@ mod tests {
             let supervised = Campaign::new(12)
                 .master_seed(7)
                 .threads(threads)
-                .run_supervised(|trial| Ok(trial_signature(trial)));
+                .run_supervised(|trial| Ok(trial_signature(trial)))
+                .0;
             let values: Vec<_> = supervised
                 .into_iter()
                 .map(|o| o.into_completed().expect("all trials complete"))
@@ -994,7 +747,7 @@ mod tests {
 
     #[test]
     fn quarantine_records_typed_outcomes_and_continues() {
-        let outcomes = Campaign::new(10)
+        let (outcomes, metrics) = Campaign::new(10)
             .threads(4)
             .failure_policy(FailurePolicy::Quarantine { max_failures: 10 })
             .run_supervised(|trial| match trial.index {
@@ -1006,6 +759,7 @@ mod tests {
                 }),
                 i => Ok(i),
             });
+        assert_eq!(metrics.count(EventKind::TrialQuarantined), 3);
         assert_eq!(outcomes.len(), 10);
         assert_eq!(
             outcomes[2],
@@ -1069,7 +823,7 @@ mod tests {
         // first u64 of its stream so we can pin the sub-stream schedule.
         let draws: Mutex<Vec<u64>> = Mutex::new(Vec::new());
         let attempts = AtomicUsize::new(0);
-        let outcomes = Campaign::new(8)
+        let (outcomes, _) = Campaign::new(8)
             .master_seed(0xbeef)
             .failure_policy(FailurePolicy::Retry { budget: 3 })
             .run_supervised(|mut trial| {
@@ -1114,6 +868,7 @@ mod tests {
                     }
                     Ok(value)
                 })
+                .0
         };
         let baseline = supervised(1);
         for threads in [2, 8] {
@@ -1122,21 +877,13 @@ mod tests {
     }
 
     #[test]
-    fn supervised_observed_emits_lifecycle_events_deterministically() {
-        use nv_obs::EventKind;
+    fn supervised_runs_emit_lifecycle_events_deterministically() {
         let run = |threads: usize| {
             Campaign::new(9)
                 .master_seed(3)
                 .threads(threads)
                 .failure_policy(FailurePolicy::Retry { budget: 1 })
-                .run_supervised_observed(64, |trial, recorder| {
-                    recorder.event(
-                        1,
-                        ObsEvent::BtbAllocate {
-                            pc: trial.index as u64,
-                            target: 0,
-                        },
-                    );
+                .run_supervised(|trial| {
                     // Trials 1 and 6 fail every attempt; trial 4 would
                     // fail only if retries shared streams with attempt 0.
                     if trial.index == 1 || trial.index == 6 {
@@ -1150,9 +897,9 @@ mod tests {
         // 2 failing trials × 1 retry each.
         assert_eq!(metrics.count(EventKind::TrialRetried), 2);
         assert_eq!(metrics.count(EventKind::TrialQuarantined), 2);
-        // Each failing trial ran twice, each success once: 7 + 4 events.
-        assert_eq!(metrics.count(EventKind::BtbAllocate), 11);
+        assert_eq!(metrics.phase(Phase::Retry).unwrap().count, 2);
         assert_eq!(metrics.phase(Phase::Quarantine).unwrap().count, 2);
+        assert_eq!(metrics.phase(Phase::Trial).unwrap().count, 9);
         assert_eq!(metrics.trials, 9);
         for threads in [2, 8] {
             let (other_outcomes, other_metrics) = run(threads);
@@ -1177,7 +924,8 @@ mod tests {
                 trial.arm(&mut core);
                 assert_eq!(core.watchdog(), Some((0, 50)));
                 Ok(trial.index)
-            });
+            })
+            .0;
         assert!(outcomes.iter().all(|o| o.is_completed()));
         // Without deadline_steps, trials see None and arm() is a no-op.
         Campaign::new(1)
@@ -1188,6 +936,7 @@ mod tests {
                 assert_eq!(core.watchdog(), None);
                 Ok(())
             })
+            .0
             .into_iter()
             .for_each(|o| assert!(o.is_completed()));
     }
@@ -1204,7 +953,8 @@ mod tests {
         let supervised = Campaign::new(3)
             .master_seed(9)
             .threads(64)
-            .run_supervised(|trial| Ok(trial_signature(trial)));
+            .run_supervised(|trial| Ok(trial_signature(trial)))
+            .0;
         let values: Vec<_> = supervised
             .into_iter()
             .map(|o| o.into_completed().unwrap())
@@ -1219,19 +969,11 @@ mod tests {
         path
     }
 
-    fn encode_u64(v: &u64) -> String {
-        v.to_string()
-    }
-
-    fn decode_u64(s: &str) -> Option<u64> {
-        s.parse().ok()
-    }
-
     #[test]
     fn resume_skips_checkpointed_trials_and_matches_an_uninterrupted_run() {
         let campaign = Campaign::new(12).master_seed(0xcafe).threads(4);
         let trial_fn = |mut trial: Trial| Ok(trial.rng.next_u64());
-        let uninterrupted = campaign.run_supervised(trial_fn);
+        let uninterrupted = campaign.run_supervised(trial_fn).0;
 
         let path = ckpt_path("resume_prefix");
         let key = campaign.checkpoint_key(0x1234);
@@ -1240,22 +982,25 @@ mod tests {
             // if the process died after trial 5.
             let ckpt = CampaignCheckpoint::open(&path, key).unwrap();
             for (index, outcome) in uninterrupted.iter().take(6).enumerate() {
-                ckpt.append(index, &encode_u64(outcome.completed().unwrap()))
+                ckpt.append(index, &outcome.completed().unwrap().to_string())
                     .unwrap();
             }
         }
         let ckpt = CampaignCheckpoint::open(&path, key).unwrap();
         let executed = AtomicUsize::new(0);
-        let resumed = campaign.resume(&ckpt, encode_u64, decode_u64, |trial| {
+        let (resumed, metrics) = campaign.resume(&ckpt, |trial| {
             executed.fetch_add(1, Ordering::SeqCst);
             trial_fn(trial)
         });
         assert_eq!(resumed, uninterrupted);
+        assert_eq!(metrics.count(EventKind::CheckpointResumed), 6);
+        assert_eq!(metrics.count(EventKind::CheckpointAppended), 6);
+        assert_eq!(metrics.phase(Phase::Checkpoint).unwrap().count, 12);
         assert_eq!(executed.load(Ordering::SeqCst), 6, "prefix must be skipped");
         // The checkpoint now covers every trial; a further resume runs none.
         let ckpt = CampaignCheckpoint::open(&path, key).unwrap();
         assert_eq!(ckpt.completed_trials(), 12);
-        let resumed = campaign.resume(&ckpt, encode_u64, decode_u64, |_| {
+        let (resumed, _) = campaign.resume(&ckpt, |_| {
             panic!("no trial should run once the checkpoint is complete")
         });
         assert_eq!(resumed, uninterrupted);
@@ -1281,58 +1026,40 @@ mod tests {
     }
 
     #[test]
-    fn panicking_decode_aborts_resume_instead_of_draining_the_queue() {
-        use std::sync::atomic::AtomicUsize;
-        // Mirrors `panicking_trial_aborts_instead_of_draining_the_queue`
-        // for the resume engine: the decode callback runs *outside* the
-        // per-trial catch_unwind, so its panic escapes `run_one` — the
-        // worker loop must still set the abort flag on that path instead
-        // of letting the surviving workers drain the queue.
-        let trials = 64;
+    fn unparsable_record_reruns_its_trial() {
+        let trials = 8;
         let campaign = Campaign::new(trials).master_seed(3).threads(4);
-        let path = ckpt_path("resume_poisoned_decode");
+        let trial_fn = |mut trial: Trial| Ok(trial.rng.next_u64());
+        let uninterrupted = campaign.run_supervised(trial_fn).0;
+        let path = ckpt_path("resume_unparsable");
         let key = campaign.checkpoint_key(0);
         {
             let ckpt = CampaignCheckpoint::open(&path, key).unwrap();
-            ckpt.append(0, "poisoned").unwrap();
+            ckpt.append(0, "not a number").unwrap();
+            ckpt.append(1, &uninterrupted[1].completed().unwrap().to_string())
+                .unwrap();
         }
         let ckpt = CampaignCheckpoint::open(&path, key).unwrap();
-        let drained = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            campaign.resume(
-                &ckpt,
-                encode_u64,
-                |s: &str| -> Option<u64> {
-                    if s == "poisoned" {
-                        panic!("poisoned checkpoint record");
-                    }
-                    s.parse().ok()
-                },
-                |trial| {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    drained.fetch_add(1, Ordering::SeqCst);
-                    Ok(trial.index as u64)
-                },
-            )
-        }));
-        assert!(result.is_err(), "a panicking decode must abort the resume");
-        let count = drained.load(Ordering::SeqCst);
-        assert!(
-            count < trials / 2,
-            "abort flag must stop resume from draining the queue: {count}/{trials} trials ran"
-        );
+        let executed = std::sync::Mutex::new(Vec::new());
+        let (resumed, _) = campaign.resume(&ckpt, |trial| {
+            executed.lock().unwrap().push(trial.index);
+            trial_fn(trial)
+        });
+        assert_eq!(resumed, uninterrupted);
+        let mut executed = executed.into_inner().unwrap();
+        executed.sort_unstable();
+        assert_eq!(executed, [0, 2, 3, 4, 5, 6, 7], "only trial 1 is skipped");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn resume_observed_counts_a_torn_checkpoint_in_metrics() {
-        use nv_obs::EventKind;
+    fn resume_counts_a_torn_checkpoint_in_metrics() {
         let campaign = Campaign::new(4).master_seed(5);
         let path = ckpt_path("resume_torn_metric");
         let key = campaign.checkpoint_key(0);
         {
             let ckpt = CampaignCheckpoint::open(&path, key).unwrap();
-            ckpt.append(0, &encode_u64(&7)).unwrap();
+            ckpt.append(0, "7").unwrap();
         }
         {
             use std::io::Write;
@@ -1344,18 +1071,15 @@ mod tests {
         }
         let ckpt = CampaignCheckpoint::open(&path, key).unwrap();
         assert!(ckpt.resume_report().is_torn());
-        let trial_fn = |mut trial: Trial, _: &mut Recorder| -> Result<u64, AttackError> {
-            Ok(trial.rng.next_u64())
-        };
-        let (outcomes, metrics) =
-            campaign.resume_observed(16, &ckpt, encode_u64, decode_u64, trial_fn);
+        let trial_fn = |mut trial: Trial| Ok(trial.rng.next_u64());
+        let (outcomes, metrics) = campaign.resume(&ckpt, trial_fn);
         assert_eq!(outcomes.len(), 4);
         assert_eq!(metrics.count(EventKind::CheckpointTorn), 1);
         // Open-time recovery truncated the tail, so the next resume of the
         // now-complete checkpoint reports an intact log and counts nothing.
         let ckpt = CampaignCheckpoint::open(&path, key).unwrap();
         assert!(!ckpt.resume_report().is_torn());
-        let (_, metrics) = campaign.resume_observed(16, &ckpt, encode_u64, decode_u64, trial_fn);
+        let (_, metrics) = campaign.resume(&ckpt, trial_fn);
         assert_eq!(metrics.count(EventKind::CheckpointTorn), 0);
         let _ = std::fs::remove_file(&path);
     }
@@ -1366,50 +1090,8 @@ mod tests {
         let key = Campaign::new(8).master_seed(1).checkpoint_key(0);
         let ckpt = CampaignCheckpoint::open(&path, key).unwrap();
         let other = Campaign::new(9).master_seed(1);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            other.resume(&ckpt, encode_u64, decode_u64, |_| Ok(0))
-        }));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| other.resume(&ckpt, |_| Ok(0))));
         assert!(result.is_err(), "trial-count mismatch must be rejected");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn run_observed_merges_metrics_in_index_order_at_any_thread_count() {
-        use nv_obs::ObsEvent;
-        let observed = |threads: usize| {
-            Campaign::new(12)
-                .master_seed(9)
-                .threads(threads)
-                .run_observed(64, |mut trial, recorder| {
-                    let spins = 1 + trial.rng.gen_range(0..5u64);
-                    for i in 0..spins {
-                        recorder.event(
-                            i * 10,
-                            ObsEvent::BtbAllocate {
-                                pc: trial.index as u64,
-                                target: i,
-                            },
-                        );
-                    }
-                    spins
-                })
-        };
-        let (base_results, base_metrics) = observed(1);
-        for threads in [2, 8] {
-            let (results, metrics) = observed(threads);
-            assert_eq!(base_results, results, "results diverged at {threads}");
-            assert_eq!(
-                base_metrics.to_json(),
-                metrics.to_json(),
-                "metrics diverged at {threads} threads"
-            );
-        }
-        assert_eq!(base_metrics.trials, 12);
-        assert_eq!(
-            base_metrics.count(nv_obs::EventKind::BtbAllocate),
-            base_results.iter().sum::<u64>()
-        );
-        // Every trial's recorder opened a Trial span; finish() closed it.
-        assert_eq!(base_metrics.phase(Phase::Trial).unwrap().count, 12);
     }
 }

@@ -36,6 +36,8 @@ use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use nv_obs::export::{escape, unescape};
+
 /// Format magic carried in every checkpoint header.
 pub const CHECKPOINT_MAGIC: &str = "nv-campaign-checkpoint-v1";
 
@@ -368,54 +370,6 @@ fn take_u64(text: &str) -> Option<(u64, &str)> {
     Some((value, &text[digits..]))
 }
 
-/// JSON-string-escapes a payload for embedding in a framed record body.
-pub fn escape(data: &str) -> String {
-    let mut out = String::with_capacity(data.len());
-    for ch in data.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape`]; `None` on malformed escapes.
-pub fn unescape(escaped: &str) -> Option<String> {
-    let mut out = String::with_capacity(escaped.len());
-    let mut chars = escaped.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let code: String = (&mut chars).take(4).collect();
-                if code.len() != 4 {
-                    return None;
-                }
-                let value = u32::from_str_radix(&code, 16).ok()?;
-                out.push(char::from_u32(value)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,14 +534,6 @@ mod tests {
         assert_eq!(ckpt.completed_trials(), 0);
         assert_eq!(ckpt.dropped_records(), 1);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn escape_roundtrip_covers_control_chars() {
-        let nasty = "a\"b\\c\nd\re\tf\u{1}g";
-        assert_eq!(unescape(&escape(nasty)).as_deref(), Some(nasty));
-        assert!(unescape("broken \\q escape").is_none());
-        assert!(unescape("truncated \\u00").is_none());
     }
 
     #[test]

@@ -41,10 +41,10 @@
 //! Every attack layer is instrumented for the [`nv_obs`] observability
 //! crate: attach a recorder to the `Core` (`Core::attach_obs`) and the
 //! rig/NV-Core/NV-U/NV-S paths report calibrate/prime/probe/vote/retry
-//! and victim-fragment spans plus typed µarch events into it;
-//! `campaign::Campaign::run_observed` aggregates per-trial metrics
-//! deterministically. With no recorder attached, every path is
-//! byte-identical to the uninstrumented build.
+//! and victim-fragment spans plus typed µarch events into it, and
+//! `nv_obs::Metrics::merge` sums per-trial aggregates in any order. With
+//! no recorder attached, every path is byte-identical to the
+//! uninstrumented build.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

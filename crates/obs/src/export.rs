@@ -1,4 +1,5 @@
-//! Chrome trace-event export.
+//! Chrome trace-event export, and the JSON string escape every
+//! hand-rolled JSON writer in the workspace shares.
 //!
 //! Renders recorders as a Chrome trace-event JSON document loadable in
 //! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`. Spans
@@ -14,8 +15,55 @@ use crate::recorder::Recorder;
 /// Process id used for all tracks.
 const PID: u32 = 1;
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// JSON-string-escapes `data`: quotes, backslashes and control
+/// characters. The one escape behind every hand-rolled JSON writer in the
+/// workspace: trace labels here, checkpoint records, and the serve wire
+/// protocol and journal.
+pub fn escape(data: &str) -> String {
+    let mut out = String::with_capacity(data.len());
+    for ch in data.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Inverse of [`escape`]; `None` on malformed escapes.
+pub fn unescape(escaped: &str) -> Option<String> {
+    let mut out = String::with_capacity(escaped.len());
+    let mut chars = escaped.chars();
+    while let Some(ch) = chars.next() {
+        if ch != '\\' {
+            out.push(ch);
+            continue;
+        }
+        match chars.next()? {
+            '"' => out.push('"'),
+            '\\' => out.push('\\'),
+            'n' => out.push('\n'),
+            'r' => out.push('\r'),
+            't' => out.push('\t'),
+            'u' => {
+                let code: String = (&mut chars).take(4).collect();
+                if code.len() != 4 {
+                    return None;
+                }
+                let value = u32::from_str_radix(&code, 16).ok()?;
+                out.push(char::from_u32(value)?);
+            }
+            _ => return None,
+        }
+    }
+    Some(out)
 }
 
 fn push_track(out: &mut Vec<String>, tid: u32, label: &str, recorder: &Recorder) {
@@ -113,6 +161,27 @@ mod tests {
         let trace = chrome_trace(&[(0, "trial 0", &a), (1, "trial 1", &b)]);
         assert!(trace.contains("\"tid\": 0"));
         assert!(trace.contains("\"tid\": 1"));
+    }
+
+    #[test]
+    fn control_characters_in_labels_are_escaped() {
+        let trace = chrome_trace_single("lane \"a\"\nb\u{1}", &sample());
+        assert!(
+            !trace.contains("lane \"a\"\nb"),
+            "raw label leaked into the trace"
+        );
+        assert!(
+            trace.contains(r#"{"name": "lane \"a\"\nb\u0001"}"#),
+            "{trace}"
+        );
+    }
+
+    #[test]
+    fn escape_roundtrip_covers_control_chars() {
+        let nasty = "a\"b\\c\nd\re\tf\u{1}g";
+        assert_eq!(unescape(&escape(nasty)).as_deref(), Some(nasty));
+        assert!(unescape("broken \\q escape").is_none());
+        assert!(unescape("truncated \\u00").is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use nightvision::campaign::{Campaign, Trial};
+use nightvision::campaign::{panic_message, Campaign, Trial};
 use nightvision::checkpoint::fnv1a64;
 use nightvision::{
     AttackError, CampaignCheckpoint, CheckpointError, FailurePolicy, NvCore, NvSupervisor, PwSpec,
@@ -238,14 +238,6 @@ fn outcome_tag<T>(outcome: &TrialOutcome<T>) -> &'static str {
     }
 }
 
-fn encode(v: &u64) -> String {
-    v.to_string()
-}
-
-fn decode(s: &str) -> Option<u64> {
-    s.parse().ok()
-}
-
 /// The job-identity digest: FNV-1a-64 over the index-ordered outcome
 /// vector (kind tag plus value). Byte-identical digests mean
 /// byte-identical campaigns — the witness the kill/resume benches check.
@@ -315,7 +307,7 @@ pub fn run_job(
         }
         let campaign = base.failure_policy(FailurePolicy::Retry { budget });
         let pass = catch_unwind(AssertUnwindSafe(|| {
-            campaign.resume_observed(64, &checkpoint, encode, decode, |mut trial, _rec| {
+            campaign.resume(&checkpoint, |mut trial| {
                 let index = trial.index;
                 let value = run_attempt(spec, &mut trial, cancel)?;
                 streamed.lock().expect("streamed flags poisoned")[index] = true;
@@ -333,11 +325,7 @@ pub fn run_job(
         let (outcomes, pass_metrics) = match pass {
             Ok(result) => result,
             Err(payload) => {
-                let detail = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                let detail = panic_message(payload.as_ref());
                 return Err(JobError::Aborted { detail });
             }
         };
@@ -481,7 +469,7 @@ mod tests {
                     deadline: Some(spec.deadline_steps),
                 };
                 let value = nv_core_trial(&mut trial, None).unwrap();
-                ckpt.append(index, &encode(&value)).unwrap();
+                ckpt.append(index, &value.to_string()).unwrap();
             }
         }
         let mut resumed_updates = 0u64;

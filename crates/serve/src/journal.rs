@@ -30,7 +30,8 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use nightvision::checkpoint::{escape, frame, parse_frame};
+use nightvision::checkpoint::{frame, parse_frame};
+use nv_obs::export::escape;
 
 use crate::job::JobSpec;
 use crate::proto::{field_str, field_u64};

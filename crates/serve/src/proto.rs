@@ -4,7 +4,7 @@
 //! Payloads are flat, hand-rolled JSON objects (the workspace owns all
 //! of its dependencies, so there is no serde): every field is either an
 //! unsigned number or a string escaped with the same rules as the
-//! checkpoint journal ([`nightvision::checkpoint::escape`]). Because
+//! checkpoint journal ([`nv_obs::export::escape`]). Because
 //! `"` is always escaped inside string values, searching for the literal
 //! `"key": ` pattern cannot be spoofed by field *content* — a hostile
 //! tenant name cannot inject fields.
@@ -12,7 +12,7 @@
 //! Decoders are total: any missing or ill-typed field becomes
 //! [`WireError::BadMessage`], never a panic.
 
-use nightvision::checkpoint::{escape, unescape};
+use nv_obs::export::{escape, unescape};
 
 use crate::job::{JobKind, JobSpec};
 use crate::wire::WireError;

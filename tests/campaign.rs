@@ -20,24 +20,24 @@ fn gcd_campaign(threads: usize) -> (Vec<(u64, f64)>, BtbStats) {
     Campaign::new(TRIALS)
         .master_seed(MASTER_SEED)
         .threads(threads)
-        .run_fold(
+        .run(|mut trial| {
+            // Both the victim's secret and the attack's noise come from
+            // trial-local state, so every trial is a pure function of
+            // (master seed, index).
+            let secret = trial.rng.gen_range(3u64..=u32::MAX as u64) | 1;
+            let victim = GcdVictim::build(secret, 65537, &VictimConfig::paper_hardened()).unwrap();
+            let mut system = System::new(UarchConfig::default());
+            let pid = system.spawn(victim.program().clone());
+            let noise = NoiseModel::paper_gcd(trial.rng.next_u64());
+            let mut attacker = NvUser::for_victim(&victim, noise).unwrap();
+            let readings = attacker.leak_directions(&mut system, pid, 100_000).unwrap();
+            let inferred = NvUser::infer_directions(&readings);
+            let accuracy = NvUser::accuracy(&inferred, victim.directions());
+            (secret, accuracy, system.core().btb().stats())
+        })
+        .into_iter()
+        .fold(
             (Vec::new(), BtbStats::default()),
-            |mut trial| {
-                // Both the victim's secret and the attack's noise come from
-                // trial-local state, so every trial is a pure function of
-                // (master seed, index).
-                let secret = trial.rng.gen_range(3u64..=u32::MAX as u64) | 1;
-                let victim =
-                    GcdVictim::build(secret, 65537, &VictimConfig::paper_hardened()).unwrap();
-                let mut system = System::new(UarchConfig::default());
-                let pid = system.spawn(victim.program().clone());
-                let noise = NoiseModel::paper_gcd(trial.rng.next_u64());
-                let mut attacker = NvUser::for_victim(&victim, noise).unwrap();
-                let readings = attacker.leak_directions(&mut system, pid, 100_000).unwrap();
-                let inferred = NvUser::infer_directions(&readings);
-                let accuracy = NvUser::accuracy(&inferred, victim.directions());
-                (secret, accuracy, system.core().btb().stats())
-            },
             |(mut rows, mut total), (secret, accuracy, stats)| {
                 rows.push((secret, accuracy));
                 total.hits += stats.hits;

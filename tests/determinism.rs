@@ -123,9 +123,9 @@ fn quiet_perturbation_leaves_simulation_byte_identical() {
 
 #[test]
 fn observed_metrics_are_identical_across_thread_counts() {
-    // `Campaign::run_observed` merges per-trial recorder metrics in
-    // trial-index order, so the aggregate JSON — counters, penalty
-    // cycles, phase histograms — is byte-identical for any worker count.
+    // `campaign_profile` merges per-trial recorder metrics in trial-index
+    // order, so the aggregate JSON — counters, penalty cycles, phase
+    // histograms — is byte-identical for any worker count.
     let (serial_results, serial_metrics) = campaign_profile(5, 1);
     let serial_json = serial_metrics.to_json();
     for threads in [2, 8] {

@@ -36,14 +36,6 @@ fn rng_trial(trial: &mut Trial) -> Result<u64, AttackError> {
     Ok(acc)
 }
 
-fn encode(v: &u64) -> String {
-    v.to_string()
-}
-
-fn decode(s: &str) -> Option<u64> {
-    s.parse().ok()
-}
-
 /// Runs a *serial* copy of `campaign` against a fresh checkpoint at
 /// `path`, panicking (the stand-in for SIGKILL) once exactly `kill_at`
 /// trials have completed. The checkpoint file survives the unwind
@@ -58,7 +50,7 @@ fn kill_after(campaign: &Campaign, path: &PathBuf, kill_at: usize, trials: usize
     let checkpoint = CampaignCheckpoint::open(path, key).expect("open checkpoint");
     let completed = AtomicUsize::new(0);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        serial.resume(&checkpoint, encode, decode, |mut trial| {
+        serial.resume(&checkpoint, |mut trial| {
             if completed.load(Ordering::SeqCst) >= kill_at {
                 panic!("simulated SIGKILL");
             }
@@ -77,7 +69,8 @@ fn kill_after(campaign: &Campaign, path: &PathBuf, kill_at: usize, trials: usize
 fn sweep(trials: usize, master_seed: u64) {
     let baseline: Vec<TrialOutcome<u64>> = Campaign::new(trials)
         .master_seed(master_seed)
-        .run_supervised(|mut t| rng_trial(&mut t));
+        .run_supervised(|mut t| rng_trial(&mut t))
+        .0;
     for kill_at in 0..=trials {
         for threads in [1usize, 2, 8] {
             let campaign = Campaign::new(trials)
@@ -91,7 +84,7 @@ fn sweep(trials: usize, master_seed: u64) {
                 checkpoint.completed_trials() >= kill_at.min(trials),
                 "checkpoint lost completed trials at k={kill_at}, threads={threads}"
             );
-            let resumed = campaign.resume(&checkpoint, encode, decode, |mut t| rng_trial(&mut t));
+            let (resumed, _) = campaign.resume(&checkpoint, |mut t| rng_trial(&mut t));
             assert_eq!(
                 resumed, baseline,
                 "resume diverged at k={kill_at}, threads={threads}"
@@ -113,7 +106,8 @@ fn resume_tolerates_a_corrupt_tail_at_every_prefix() {
     let campaign = Campaign::new(trials).master_seed(0x5eed_0002).threads(2);
     let baseline = Campaign::new(trials)
         .master_seed(0x5eed_0002)
-        .run_supervised(|mut t| rng_trial(&mut t));
+        .run_supervised(|mut t| rng_trial(&mut t))
+        .0;
     for kill_at in 1..trials {
         let path = scratch(&format!("corrupt_k{kill_at}"));
         kill_after(&campaign, &path, kill_at, trials);
@@ -128,7 +122,7 @@ fn resume_tolerates_a_corrupt_tail_at_every_prefix() {
         let key = campaign.checkpoint_key(fnv1a64(b"resume sweep"));
         let checkpoint = CampaignCheckpoint::open(&path, key).expect("damaged file must open");
         assert!(checkpoint.dropped_records() >= 1);
-        let resumed = campaign.resume(&checkpoint, encode, decode, |mut t| rng_trial(&mut t));
+        let (resumed, _) = campaign.resume(&checkpoint, |mut t| rng_trial(&mut t));
         assert_eq!(
             resumed, baseline,
             "corrupt tail broke resume at k={kill_at}"
@@ -146,14 +140,15 @@ fn parallel_kill_still_resumes_identically() {
     let campaign = Campaign::new(trials).master_seed(0x5eed_0004).threads(8);
     let baseline = Campaign::new(trials)
         .master_seed(0x5eed_0004)
-        .run_supervised(|mut t| rng_trial(&mut t));
+        .run_supervised(|mut t| rng_trial(&mut t))
+        .0;
     let path = scratch("parallel_kill");
     let key = campaign.checkpoint_key(fnv1a64(b"resume sweep"));
     {
         let checkpoint = CampaignCheckpoint::open(&path, key).expect("open checkpoint");
         let completed = AtomicUsize::new(0);
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            campaign.resume(&checkpoint, encode, decode, |mut trial| {
+            campaign.resume(&checkpoint, |mut trial| {
                 if completed.load(Ordering::SeqCst) >= 5 {
                     panic!("simulated SIGKILL");
                 }
@@ -164,9 +159,66 @@ fn parallel_kill_still_resumes_identically() {
         }));
     }
     let checkpoint = CampaignCheckpoint::open(&path, key).expect("reopen after kill");
-    let resumed = campaign.resume(&checkpoint, encode, decode, |mut t| rng_trial(&mut t));
+    let (resumed, _) = campaign.resume(&checkpoint, |mut t| rng_trial(&mut t));
     assert_eq!(resumed, baseline, "parallel kill broke resume identity");
     let _ = std::fs::remove_file(&path);
+}
+
+/// A 6-trial checkpoint at seed `0x5eed_0005`, killed after 3 trials,
+/// byte for byte: the on-disk record format that restarted servers read
+/// back, so a change to it must be deliberate.
+const GOLDEN_CHECKPOINT: &str = concat!(
+    "{\"len\": 103, \"crc\": 2636680721946631818, \"body\": {\"magic\": ",
+    "\"nv-campaign-checkpoint-v1\", \"seed\": 1592590341, \"trials\": 6, ",
+    "\"config\": 11484423709226150714}}\n",
+    "{\"len\": 43, \"crc\": 9974159904131736089, \"body\": ",
+    "{\"trial\": 0, \"data\": \"8171697769730856930\"}}\n",
+    "{\"len\": 43, \"crc\": 6815430092344463208, \"body\": ",
+    "{\"trial\": 1, \"data\": \"8746522585016478095\"}}\n",
+    "{\"len\": 43, \"crc\": 15139547208892511878, \"body\": ",
+    "{\"trial\": 2, \"data\": \"5385472612778424965\"}}\n",
+);
+
+#[test]
+fn golden_checkpoint_resumes_without_rerunning_its_records() {
+    let trials = 6;
+    let campaign = Campaign::new(trials).master_seed(0x5eed_0005);
+    let baseline = campaign.run_supervised(|mut t| rng_trial(&mut t)).0;
+    let key = campaign.checkpoint_key(fnv1a64(b"resume sweep"));
+
+    // The writer still produces the pinned bytes.
+    let path = scratch("golden_write");
+    kill_after(&campaign, &path, 3, trials);
+    let written = std::fs::read_to_string(&path).expect("read checkpoint");
+    assert_eq!(
+        written, GOLDEN_CHECKPOINT,
+        "checkpoint record bytes changed"
+    );
+    let _ = std::fs::remove_file(&path);
+
+    for threads in [1usize, 2, 8] {
+        let path = scratch(&format!("golden_t{threads}"));
+        std::fs::write(&path, GOLDEN_CHECKPOINT).expect("write golden checkpoint");
+        let checkpoint = CampaignCheckpoint::open(&path, key).expect("open golden checkpoint");
+        assert_eq!(checkpoint.completed_trials(), 3);
+        let ran = std::sync::Mutex::new(Vec::new());
+        let (resumed, _) = campaign.threads(threads).resume(&checkpoint, |mut t| {
+            ran.lock().unwrap().push(t.index);
+            rng_trial(&mut t)
+        });
+        let mut ran = ran.into_inner().unwrap();
+        ran.sort_unstable();
+        assert_eq!(
+            ran,
+            [3, 4, 5],
+            "recorded trials re-ran at {threads} threads"
+        );
+        assert_eq!(
+            resumed, baseline,
+            "golden resume diverged at {threads} threads"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
