@@ -39,6 +39,12 @@ assert clean["robust_accuracy"] == 1.0, f"clean robust accuracy {clean['robust_a
 assert sweep["paper_calibrated"]["robust_accuracy"] >= 0.95, \
     f"paper-calibrated robust accuracy {sweep['paper_calibrated']['robust_accuracy']} below 0.95"
 EOF
+# The flag parser is strict: a misspelt flag must exit non-zero before
+# any trial runs instead of silently falling back to a default.
+if ./target/release/repro_noise_sweep --smoke --trails 3; then
+    echo "unknown flag accepted" >&2
+    exit 1
+fi
 
 # Observability smoke: the profile binary's own assertions gate the
 # disabled-recorder overhead at 2% and metrics thread-obliviousness; on

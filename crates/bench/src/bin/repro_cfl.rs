@@ -16,7 +16,7 @@
 
 use nightvision::campaign::Campaign;
 use nightvision::{NoiseModel, NvUser};
-use nv_bench::{arg_present, arg_value, threads_flag};
+use nv_bench::Args;
 use nv_os::System;
 use nv_uarch::UarchConfig;
 use nv_victims::{BnCmpVictim, GcdVictim, ModExpVictim, RsaKeygen, VictimConfig};
@@ -129,13 +129,12 @@ fn modexp_experiment(runs: usize, threads: usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let runs: usize = arg_value(&args, "--runs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
-    let victim = arg_value(&args, "--victim").unwrap_or_else(|| "both".into());
-    let noiseless = arg_present(&args, "--noiseless");
-    let threads = threads_flag(&args);
+    let mut args = Args::parse();
+    let runs = args.get("--runs", 100);
+    let victim = args.get("--victim", "both".to_string());
+    let noiseless = args.switch("--noiseless");
+    let threads = args.threads();
+    args.finish();
     println!("# §7.2 control-flow leakage reproduction (balanced + -falign-jumps=16)");
     if victim == "gcd" || victim == "both" {
         gcd_experiment(runs, noiseless, threads);

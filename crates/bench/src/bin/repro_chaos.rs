@@ -17,44 +17,25 @@
 //!    streams to byte-identical digests at server worker counts 1, 2
 //!    and 8.
 //!
-//! Writes `BENCH_chaos.json` (override with `--out PATH` or
-//! `BENCH_CHAOS_OUT`). Flags: `--jobs N` (jobs per cell), `--smoke`
+//! Writes `BENCH_chaos.json` (override with `--out PATH`). Flags:
+//! `--jobs N` (jobs per cell), `--smoke`
 //! (smaller load, writes to `target/BENCH_chaos_smoke.json` so CI does
 //! not dirty the checked-in baseline). `--serve --spool P --workers N`
 //! is the internal child-server mode.
 
-use std::path::PathBuf;
-
 use nv_bench::chaos_load::{intensity_sweep, kill_drill, ChaosReport};
-use nv_bench::serve_load::serve_forever;
-use nv_bench::{arg_present, arg_value};
+use nv_bench::serve_load::serve_if_child;
+use nv_bench::{write_output, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    if arg_present(&args, "--serve") {
-        let spool =
-            PathBuf::from(arg_value(&args, "--spool").expect("--serve requires --spool PATH"));
-        let workers: usize = arg_value(&args, "--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        serve_forever(&spool, workers);
-    }
-
-    let smoke = arg_present(&args, "--smoke");
-    let jobs: usize = arg_value(&args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 3 } else { 6 })
+    let mut args = Args::parse();
+    serve_if_child(&mut args);
+    let smoke = args.switch("--smoke");
+    let jobs = args
+        .get::<usize>("--jobs", if smoke { 3 } else { 6 })
         .max(2);
-    let out_path = arg_value(&args, "--out")
-        .or_else(|| std::env::var("BENCH_CHAOS_OUT").ok())
-        .unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_chaos_smoke.json".to_string()
-            } else {
-                "BENCH_chaos.json".to_string()
-            }
-        });
+    let out_path = args.out_path("--out", "BENCH_chaos", smoke);
+    args.finish();
 
     let trials = if smoke { 6 } else { 8 };
     let intensities: &[f64] = if smoke {
@@ -119,17 +100,14 @@ fn main() {
         );
     }
     let quiet = &cells[0];
-    let f = quiet.faults;
     assert_eq!(
-        f.resets + f.cuts + f.corruptions + f.stalls + f.partial_writes + f.duplicates,
+        quiet.injected(),
         0,
-        "the quiet control cell injected faults: {f:?}"
+        "the quiet control cell injected faults: {:?}",
+        quiet.faults
     );
     assert!(
-        cells.iter().any(|c| {
-            let f = c.faults;
-            f.resets + f.cuts + f.corruptions + f.stalls + f.partial_writes + f.duplicates > 0
-        }),
+        cells.iter().any(|c| c.injected() > 0),
         "no cell injected any fault; the sweep proved nothing"
     );
     assert!(
@@ -146,13 +124,7 @@ fn main() {
         cells,
         drill,
     };
-    let json = report.to_json();
     assert!(report.all_green(), "report census disagrees with the gates");
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_chaos.json");
+    write_output(&out_path, &report.to_json());
     println!("\nresult: OK  (wrote {out_path})");
 }

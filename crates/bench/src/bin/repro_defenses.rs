@@ -111,18 +111,7 @@ fn main() {
 
     println!("# Defense matrix (§5, Figure 8): does the channel recover the secret?");
     let widths = [26, 8, 8, 8];
-    println!(
-        "{}",
-        row(
-            &[
-                "victim".into(),
-                "count".into(),
-                "branch".into(),
-                "nv-u".into()
-            ],
-            &widths
-        )
-    );
+    println!("{}", row(&["victim", "count", "branch", "nv-u"], &widths));
     let mark = |works: bool| if works { "LEAKS" } else { "safe" }.to_string();
     for (name, config, barrier) in configs {
         let victim = GcdVictim::build(a, b, &config).expect("victim builds");

@@ -22,35 +22,22 @@ use std::collections::BTreeSet;
 
 use nightvision::campaign::Campaign;
 use nightvision::fingerprint::ReferenceFunction;
-use nv_bench::{arg_present, arg_value, nv_s_main_function_set, similarity_pct, threads_flag};
+use nv_bench::{default_gcd, nv_s_main_function_set, similarity_pct, Args};
 use nv_corpus::{generate, CorpusConfig};
-use nv_isa::VirtAddr;
-use nv_victims::compile::{compile_gcd, CompileOptions};
 use nv_victims::{BnCmpVictim, VictimConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let functions: usize = if arg_present(&args, "--full") {
-        175_168
-    } else {
-        arg_value(&args, "--functions")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20_000)
-    };
-    let top: usize = arg_value(&args, "--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let threads = threads_flag(&args);
+    let mut args = Args::parse();
+    let full = args.switch("--full");
+    let functions = args.get("--functions", 20_000);
+    let functions: usize = if full { 175_168 } else { functions };
+    let top: usize = args.get("--top", 10);
+    let threads = args.threads();
+    args.finish();
 
     // References: static PC sets of the two vulnerable functions (§6.4
     // step 1 — prepared offline from the known library binaries).
-    let gcd_image = compile_gcd(
-        &CompileOptions::default(),
-        VirtAddr::new(0x40_0000),
-        0xbeef_1235,
-        65537,
-    )
-    .expect("gcd compiles");
+    let gcd_image = default_gcd();
     let gcd_reference = ReferenceFunction::new("GCD", gcd_image.static_pc_offsets());
 
     let bn_victim = BnCmpVictim::build(

@@ -17,7 +17,7 @@
 
 use nightvision::campaign::Campaign;
 use nightvision::fingerprint::ReferenceFunction;
-use nv_bench::{arg_value, nv_s_main_function_set, row, similarity_pct, threads_flag};
+use nv_bench::{nv_s_main_function_set, row, similarity_pct, Args};
 use nv_isa::VirtAddr;
 use nv_victims::compile::{compile_gcd, CompileOptions, GccVersion, LibraryVersion, OptLevel};
 
@@ -60,9 +60,10 @@ fn matrix(configs: &[(String, CompileOptions)], threads: usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let axis = arg_value(&args, "--axis").unwrap_or_else(|| "all".into());
-    let threads = threads_flag(&args);
+    let mut args = Args::parse();
+    let axis = args.get("--axis", "all".to_string());
+    let threads = args.threads();
+    args.finish();
 
     if axis == "version" || axis == "all" {
         println!("# Figure 13 (left): GCD similarity across mbedTLS versions (gcc 7.5, -O2)");

@@ -7,42 +7,15 @@
 //! (a nop overlaps one of the jump's two bytes), then snaps to the blue
 //! baseline — the false-hit deallocation boundary.
 
-use nv_bench::experiments::experiment1_elapsed;
-use nv_bench::row;
+use nv_bench::experiments::{experiment1_elapsed, print_series};
 
 fn main() {
     let f1 = 0x10u64;
     let l2 = 0x1c;
     println!("# Figure 2 reproduction — Experiment 1 (F1 = {f1:#x}, L2 = {l2:#x})");
     println!("# collision expected while F2 < F1+2 = {:#x}", f1 + 2);
-    let widths = [6, 14, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "F2".into(),
-                "with_F2".into(),
-                "baseline".into(),
-                "gap".into()
-            ],
-            &widths
-        )
-    );
-    for f2 in 0..=0x1au64 {
-        let orange = experiment1_elapsed(f1, f2, l2, true);
-        let blue = experiment1_elapsed(f1, f2, l2, false);
-        println!(
-            "{}",
-            row(
-                &[
-                    format!("{f2:#x}"),
-                    orange.to_string(),
-                    blue.to_string(),
-                    format!("{:+}", orange as i64 - blue as i64),
-                ],
-                &widths
-            )
-        );
-    }
+    print_series("F2", 0..=0x1a, |f2, call_f2| {
+        experiment1_elapsed(f1, f2, l2, call_f2)
+    });
     println!("# paper: Figure 2 shows the same step at F2 = F1+2 on all tested CPUs");
 }

@@ -5,41 +5,14 @@
 //! extra misprediction cost; past that boundary the entry is invisible and
 //! the orange series merges with the (linearly decreasing) baseline.
 
-use nv_bench::experiments::experiment2_elapsed;
-use nv_bench::row;
+use nv_bench::experiments::{experiment2_elapsed, print_series};
 
 fn main() {
     let f2 = 0x08u64;
     println!("# Figure 4 reproduction — Experiment 2 (F2 = {f2:#x}, jmp L1 fixed at [0x1e, 0x1f])");
     println!("# misprediction expected while F1 < F2+2 = {:#x}", f2 + 2);
-    let widths = [6, 14, 12, 10];
-    println!(
-        "{}",
-        row(
-            &[
-                "F1".into(),
-                "with_F2".into(),
-                "baseline".into(),
-                "gap".into()
-            ],
-            &widths
-        )
-    );
-    for f1 in 0..=0x1eu64 {
-        let orange = experiment2_elapsed(f1, f2, true);
-        let blue = experiment2_elapsed(f1, f2, false);
-        println!(
-            "{}",
-            row(
-                &[
-                    format!("{f1:#x}"),
-                    orange.to_string(),
-                    blue.to_string(),
-                    format!("{:+}", orange as i64 - blue as i64),
-                ],
-                &widths
-            )
-        );
-    }
+    print_series("F1", 0..=0x1e, |f1, call_f2| {
+        experiment2_elapsed(f1, f2, call_f2)
+    });
     println!("# paper: Figure 4 shows the same constant-gap region ending at F1 = F2+2");
 }

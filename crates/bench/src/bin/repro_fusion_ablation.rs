@@ -12,19 +12,13 @@
 //!   similarity stays high.
 
 use nightvision::{fingerprint, trace, NvSupervisor, SupervisorConfig};
+use nv_bench::default_gcd;
 use nv_isa::VirtAddr;
 use nv_os::{Enclave, StepExit};
 use nv_uarch::{Core, UarchConfig};
-use nv_victims::compile::{compile_gcd, CompileOptions};
 
 fn measure(uarch: UarchConfig) -> (f64, f64, usize) {
-    let image = compile_gcd(
-        &CompileOptions::default(),
-        VirtAddr::new(0x40_0000),
-        0xbeef_1235,
-        65537,
-    )
-    .expect("compiles");
+    let image = default_gcd();
     let reference: std::collections::BTreeSet<u64> =
         image.static_pc_offsets().into_iter().collect();
 

@@ -9,6 +9,7 @@
 //!   match; higher associativity suppresses that noise floor.
 
 use nightvision::{AttackerRig, PwSpec};
+use nv_bench::nop_fragment;
 use nv_isa::{Assembler, VirtAddr};
 use nv_uarch::{BtbGeometry, Core, Machine, Perturbation, TimingModel, UarchConfig};
 
@@ -35,12 +36,7 @@ fn detects(cutoff: u32, distance_bits: u32) -> bool {
     let pw = PwSpec::new(VirtAddr::new(0x40_0200), 16).expect("window");
     let mut rig = AttackerRig::with_alias_distance(vec![pw], 1u64 << distance_bits).expect("rig");
     rig.calibrate(&mut core).expect("calibrate");
-    let mut asm = Assembler::new(VirtAddr::new(0x40_0200));
-    for _ in 0..16 {
-        asm.nop();
-    }
-    asm.halt();
-    let mut victim = Machine::new(asm.finish().expect("victim"));
+    let mut victim = nop_fragment(0x40_0200, 16);
     core.reset_frontend();
     core.run(&mut victim, 100);
     rig.probe(&mut core).expect("probe")[0]

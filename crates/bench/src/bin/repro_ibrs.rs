@@ -9,17 +9,9 @@
 //! 3. a full BTB flush (the §8.2 mitigation that *does* jam the channel).
 
 use nightvision::{AttackerRig, PwSpec};
-use nv_isa::{Assembler, VirtAddr};
-use nv_uarch::{Core, Machine, UarchConfig};
-
-fn victim() -> Machine {
-    let mut asm = Assembler::new(VirtAddr::new(0x40_0700));
-    for _ in 0..16 {
-        asm.nop();
-    }
-    asm.halt();
-    Machine::new(asm.finish().expect("victim assembles"))
-}
+use nv_bench::nop_fragment;
+use nv_isa::VirtAddr;
+use nv_uarch::{Core, UarchConfig};
 
 fn run_scenario(name: &str, barrier: impl Fn(&mut Core)) {
     let pw = PwSpec::new(VirtAddr::new(0x40_0700), 16).expect("window");
@@ -32,7 +24,7 @@ fn run_scenario(name: &str, barrier: impl Fn(&mut Core)) {
     let quiet = rig.probe(&mut core).expect("probe")[0];
 
     // Victim fragment + barrier: does the signal survive?
-    let mut v = victim();
+    let mut v = nop_fragment(0x40_0700, 16);
     core.reset_frontend();
     core.run(&mut v, 100);
     barrier(&mut core);

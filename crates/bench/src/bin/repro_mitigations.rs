@@ -63,18 +63,8 @@ fn main() {
         victim.iterations()
     );
     let widths = [22, 16, 14, 12];
-    println!(
-        "{}",
-        row(
-            &[
-                "mitigation".into(),
-                "attack accuracy".into(),
-                "victim cycles".into(),
-                "overhead".into(),
-            ],
-            &widths
-        )
-    );
+    let header = ["mitigation", "attack accuracy", "victim cycles", "overhead"];
+    println!("{}", row(&header, &widths));
     for (name, mitigation) in [
         ("none (stock)", BtbMitigation::None),
         ("flush on switch", BtbMitigation::FlushOnSwitch),

@@ -6,7 +6,7 @@
 //! reports accuracy for *naive* probing (single probe, no retries —
 //! the pre-robustness code path) next to *robust* probing (5-vote
 //! majority with a retry budget). Writes the curve to `BENCH_noise.json`
-//! (override with `--out PATH` or `BENCH_NOISE_OUT`).
+//! (override with `--out PATH`).
 //!
 //! Flags: `--trials N` (default 30), `--threads N`, `--smoke` (few
 //! trials, writes to `target/BENCH_noise_smoke.json` so CI does not
@@ -14,7 +14,7 @@
 //! `--threads` value.
 
 use nv_bench::noise::{run_sweep, SweepResult, EVICTION_INTERVALS, JITTER_AMPLITUDES};
-use nv_bench::{arg_value, threads_flag};
+use nv_bench::{write_output, Args};
 
 fn print_table(sweep: &SweepResult, label: &str, pick: impl Fn(f64, f64) -> f64) {
     println!("# {label} accuracy (rows: jitter amplitude, cols: eviction interval)");
@@ -84,22 +84,14 @@ fn assert_graceful(sweep: &SweepResult) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let trials: usize = arg_value(&args, "--trials")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 6 } else { 30 })
+    let mut args = Args::parse();
+    let smoke = args.switch("--smoke");
+    let trials = args
+        .get::<usize>("--trials", if smoke { 6 } else { 30 })
         .max(1);
-    let threads = threads_flag(&args);
-    let out_path = arg_value(&args, "--out")
-        .or_else(|| std::env::var("BENCH_NOISE_OUT").ok())
-        .unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_noise_smoke.json".to_string()
-            } else {
-                "BENCH_noise.json".to_string()
-            }
-        });
+    let threads = args.threads();
+    let out_path = args.out_path("--out", "BENCH_noise", smoke);
+    args.finish();
 
     // The worker count is deliberately absent from the output: results
     // must be byte-identical for any --threads value.
@@ -138,12 +130,6 @@ fn main() {
     );
     assert_graceful(&sweep);
 
-    let json = sweep.to_json();
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_noise.json");
+    write_output(&out_path, &sweep.to_json());
     println!("\nresult: OK  (wrote {out_path})");
 }

@@ -15,7 +15,7 @@
 
 use nightvision::campaign::Campaign;
 use nightvision::{NvCore, PwSpec};
-use nv_bench::{arg_value, threads_flag};
+use nv_bench::{nop_fragment, window_chain, Args};
 use nv_isa::{Assembler, VirtAddr};
 use nv_uarch::{Core, Machine, UarchConfig};
 
@@ -60,50 +60,22 @@ fn overlap_cases() -> Vec<(&'static str, Machine, bool)> {
         ),
         (
             "case 3: victim nops enter the window from below",
-            fragment(
-                |asm| {
-                    for _ in 0..24 {
-                        asm.nop();
-                    }
-                },
-                MON - 8,
-            ),
+            nop_fragment(MON - 8, 24),
             true,
         ),
         (
             "case 4: victim nops cover the whole window",
-            fragment(
-                |asm| {
-                    for _ in 0..20 {
-                        asm.nop();
-                    }
-                },
-                MON,
-            ),
+            nop_fragment(MON, 20),
             true,
         ),
         (
             "control: victim entirely below the window",
-            fragment(
-                |asm| {
-                    for _ in 0..8 {
-                        asm.nop();
-                    }
-                },
-                MON - 32,
-            ),
+            nop_fragment(MON - 32, 8),
             false,
         ),
         (
             "control: victim entirely above the window",
-            fragment(
-                |asm| {
-                    for _ in 0..8 {
-                        asm.nop();
-                    }
-                },
-                MON + 16,
-            ),
+            nop_fragment(MON + 16, 8),
             false,
         ),
     ]
@@ -129,21 +101,10 @@ fn run_trial() -> Vec<bool> {
     }
 
     // Figure 7: two chained PWs measured in one pass.
-    let pws = vec![
-        PwSpec::new(VirtAddr::new(MON), 16).unwrap(),
-        PwSpec::new(VirtAddr::new(MON + 0x40), 16).unwrap(),
-    ];
     let mut core = Core::new(UarchConfig::default());
-    let mut nv = NvCore::new(pws).expect("chained nv-core");
+    let mut nv = NvCore::new(window_chain(MON, 2)).expect("chained nv-core");
     nv.begin(&mut core).expect("calibrate");
-    let mut victim = fragment(
-        |asm| {
-            for _ in 0..8 {
-                asm.nop();
-            }
-        },
-        MON + 0x40,
-    );
+    let mut victim = nop_fragment(MON + 0x40, 8);
     let matched = nv
         .measure(&mut core, |core| {
             core.reset_frontend();
@@ -155,12 +116,10 @@ fn run_trial() -> Vec<bool> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trials: usize = arg_value(&args, "--trials")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let threads = threads_flag(&args);
+    let mut args = Args::parse();
+    let trials = args.get::<usize>("--trials", 1).max(1);
+    let threads = args.threads();
+    args.finish();
 
     let pw = PwSpec::new(VirtAddr::new(MON), 16).expect("window");
     // The worker count is deliberately absent from the output: results

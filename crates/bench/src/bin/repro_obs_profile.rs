@@ -2,7 +2,7 @@
 //! acceptance driver).
 //!
 //! Runs three measurements and writes them to `BENCH_obs.json` (override
-//! with `--out PATH` or `BENCH_OBS_OUT`):
+//! with `--out PATH`):
 //!
 //! 1. one observed NV-S trace extraction — attack-phase span breakdown
 //!    (calibrate/prime/victim-fragment/probe/vote/retry plus the NV-S
@@ -26,37 +26,20 @@
 use nv_bench::obs_profile::{
     campaign_profile, measure_disabled_overhead, profile_nv_s, OVERHEAD_LIMIT,
 };
-use nv_bench::{arg_value, threads_flag};
+use nv_bench::{write_output, Args};
 use nv_obs::export::chrome_trace;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let trials: usize = arg_value(&args, "--trials")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 6 } else { 24 })
+    let mut args = Args::parse();
+    let smoke = args.switch("--smoke");
+    let trials = args
+        .get::<usize>("--trials", if smoke { 6 } else { 24 })
         .max(1);
-    let rounds: usize = arg_value(&args, "--rounds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
-    let threads = threads_flag(&args);
-    let out_path = arg_value(&args, "--out")
-        .or_else(|| std::env::var("BENCH_OBS_OUT").ok())
-        .unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_obs_smoke.json".to_string()
-            } else {
-                "BENCH_obs.json".to_string()
-            }
-        });
-    let trace_path = arg_value(&args, "--trace").unwrap_or_else(|| {
-        if smoke {
-            "target/obs_trace_smoke.json".to_string()
-        } else {
-            "obs_trace.json".to_string()
-        }
-    });
+    let rounds = args.get::<usize>("--rounds", 3).max(1);
+    let threads = args.threads();
+    let out_path = args.out_path("--out", "BENCH_obs", smoke);
+    let trace_path = args.out_path("--trace", "obs_trace", smoke);
+    args.finish();
 
     // 1. One full NV-S extraction, observed.
     println!("# NV-S extraction, observed");
@@ -130,13 +113,4 @@ fn main() {
     write_output(&out_path, &json);
     println!("\nwrote Chrome trace: {trace_path} (open in Perfetto or chrome://tracing)");
     println!("\nresult: OK  (wrote {out_path})");
-}
-
-fn write_output(path: &str, contents: &str) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output directory");
-        }
-    }
-    std::fs::write(path, contents).expect("write output file");
 }

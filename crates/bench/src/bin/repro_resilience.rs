@@ -18,8 +18,8 @@
 //!    truncated away — never fatal — and resume still reproduces the
 //!    baseline exactly.
 //!
-//! Writes `BENCH_resilience.json` (override with `--out PATH` or
-//! `BENCH_RESILIENCE_OUT`). Flags: `--trials N` (default 42),
+//! Writes `BENCH_resilience.json` (override with `--out PATH`).
+//! Flags: `--trials N` (default 42),
 //! `--threads N`, `--smoke` (fewer trials, writes to
 //! `target/BENCH_resilience_smoke.json` so CI does not dirty the
 //! checked-in baseline). Output is byte-identical for any `--threads`
@@ -27,25 +27,17 @@
 
 use nightvision::campaign::panic_message;
 use nv_bench::resilience::{run_suite, DEADLINE_STEPS};
-use nv_bench::{arg_value, threads_flag};
+use nv_bench::{write_output, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let trials: usize = arg_value(&args, "--trials")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 14 } else { 42 })
+    let mut args = Args::parse();
+    let smoke = args.switch("--smoke");
+    let trials = args
+        .get::<usize>("--trials", if smoke { 14 } else { 42 })
         .max(7);
-    let threads = threads_flag(&args);
-    let out_path = arg_value(&args, "--out")
-        .or_else(|| std::env::var("BENCH_RESILIENCE_OUT").ok())
-        .unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_resilience_smoke.json".to_string()
-            } else {
-                "BENCH_resilience.json".to_string()
-            }
-        });
+    let threads = args.threads();
+    let out_path = args.out_path("--out", "BENCH_resilience", smoke);
+    args.finish();
 
     // The demos inject panics on purpose (they are caught and converted
     // to typed outcomes); keep those out of stderr while letting any
@@ -115,12 +107,6 @@ fn main() {
         "checkpoint corruption was not absorbed"
     );
 
-    let json = report.to_json();
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_resilience.json");
+    write_output(&out_path, &report.to_json());
     println!("\nresult: OK  (wrote {out_path})");
 }

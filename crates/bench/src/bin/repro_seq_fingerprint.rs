@@ -10,24 +10,15 @@
 
 use nightvision::fingerprint::similarity;
 use nightvision::seq_fingerprint::{lcs_similarity, trace_to_set};
-use nv_bench::{arg_value, nv_s_main_function_trace, reference_dynamic_trace};
+use nv_bench::{default_gcd, nv_s_main_function_trace, reference_dynamic_trace, Args};
 use nv_corpus::{generate, CorpusConfig};
-use nv_isa::VirtAddr;
-use nv_victims::compile::{compile_gcd, CompileOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let functions: usize = arg_value(&args, "--functions")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_000);
+    let mut args = Args::parse();
+    let functions: usize = args.get("--functions", 5_000);
+    args.finish();
 
-    let image = compile_gcd(
-        &CompileOptions::default(),
-        VirtAddr::new(0x40_0000),
-        0xbeef_1235,
-        65537,
-    )
-    .expect("compiles");
+    let image = default_gcd();
 
     // Victim: ordered NV-S extraction; references: static set (the §6.4
     // method) and attacker-generated dynamic trace (the §8.3 method).

@@ -16,45 +16,26 @@
 //!    job with digests byte-identical to an uninterrupted baseline, at
 //!    server worker counts 1, 2 and 8.
 //!
-//! Writes `BENCH_serve.json` (override with `--out PATH` or
-//! `BENCH_SERVE_OUT`). Flags: `--jobs N` (small-job count),
+//! Writes `BENCH_serve.json` (override with `--out PATH`).
+//! Flags: `--jobs N` (small-job count),
 //! `--smoke` (smaller load, writes to `target/BENCH_serve_smoke.json`
 //! so CI does not dirty the checked-in baseline). `--serve --spool P
 //! --workers N` is the internal child-server mode.
 
-use std::path::PathBuf;
-
 use nv_bench::serve_load::{
-    overload_demo, resume_demo, serve_forever, throughput_demo, ServeReport,
+    overload_demo, resume_demo, serve_if_child, throughput_demo, ServeReport,
 };
-use nv_bench::{arg_present, arg_value};
+use nv_bench::{write_output, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    if arg_present(&args, "--serve") {
-        let spool =
-            PathBuf::from(arg_value(&args, "--spool").expect("--serve requires --spool PATH"));
-        let workers: usize = arg_value(&args, "--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        serve_forever(&spool, workers);
-    }
-
-    let smoke = arg_present(&args, "--smoke");
-    let small_jobs: usize = arg_value(&args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 48 } else { 2500 })
+    let mut args = Args::parse();
+    serve_if_child(&mut args);
+    let smoke = args.switch("--smoke");
+    let small_jobs = args
+        .get::<usize>("--jobs", if smoke { 48 } else { 2500 })
         .max(8);
-    let out_path = arg_value(&args, "--out")
-        .or_else(|| std::env::var("BENCH_SERVE_OUT").ok())
-        .unwrap_or_else(|| {
-            if smoke {
-                "target/BENCH_serve_smoke.json".to_string()
-            } else {
-                "BENCH_serve.json".to_string()
-            }
-        });
+    let out_path = args.out_path("--out", "BENCH_serve", smoke);
+    args.finish();
 
     let (nvs_jobs, clients, workers) = if smoke { (1, 4, 2) } else { (3, 8, 4) };
     let (resume_jobs, resume_trials) = if smoke { (4, 8) } else { (6, 12) };
@@ -125,12 +106,6 @@ fn main() {
         overload,
         resume,
     };
-    let json = report.to_json();
-    if let Some(parent) = std::path::Path::new(&out_path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
+    write_output(&out_path, &report.to_json());
     println!("\nresult: OK  (wrote {out_path})");
 }

@@ -10,19 +10,13 @@
 use std::collections::BTreeSet;
 
 use nightvision::{fingerprint, trace, NvSupervisor, SupervisorConfig};
+use nv_bench::default_gcd;
 use nv_isa::VirtAddr;
 use nv_os::Enclave;
 use nv_uarch::{Core, UarchConfig};
-use nv_victims::compile::{compile_gcd, CompileOptions};
 
 fn main() {
-    let image = compile_gcd(
-        &CompileOptions::default(),
-        VirtAddr::new(0x40_0000),
-        0xbeef_1235,
-        65537,
-    )
-    .expect("compiles");
+    let image = default_gcd();
     let reference: BTreeSet<u64> = image.static_pc_offsets().into_iter().collect();
 
     println!("# Fig. 10 traversal fan-out: N windows per NV-Core call");

@@ -26,13 +26,12 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use nv_serve::job::run_job;
 use nv_serve::{
     submit_resilient, ChaosPlan, ChaosProxy, Client, FaultCounts, JobSpec, ResilientOutcome,
     RetryPolicy, Server, ServerConfig,
 };
 
-use crate::serve_load::{scratch_dir, small_job, spawn_server, SEED_BASE};
+use crate::serve_load::{baseline_digests, scratch_dir, small_job, spawn_server, SEED_BASE};
 
 /// Master seed for every fault schedule in the suite.
 pub const CHAOS_SEED: u64 = 0xc4a0_5eed;
@@ -41,21 +40,6 @@ pub const CHAOS_SEED: u64 = 0xc4a0_5eed;
 fn population(jobs: usize, trials: usize) -> Vec<JobSpec> {
     (0..jobs)
         .map(|i| small_job(trials, SEED_BASE ^ 0xc4a0 ^ i as u64))
-        .collect()
-}
-
-/// Uninterrupted-baseline digests for `specs`, computed directly
-/// through the same job runner the server uses.
-fn baseline_digests(specs: &[JobSpec], tag: &str) -> Vec<u64> {
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let path = scratch_dir(&format!("chaos_base_{tag}_{i}")).with_extension("ckpt");
-            let report = run_job(0, spec, &path, None, |_| {}).expect("baseline job");
-            let _ = std::fs::remove_file(&path);
-            report.digest
-        })
         .collect()
 }
 
@@ -89,6 +73,15 @@ pub struct ChaosCell {
     pub faults: FaultCounts,
 }
 
+impl ChaosCell {
+    /// Faults the proxy injected in this cell (accepted connections are
+    /// not faults).
+    pub fn injected(&self) -> u64 {
+        let f = self.faults;
+        f.resets + f.cuts + f.corruptions + f.stalls + f.partial_writes + f.duplicates
+    }
+}
+
 /// Drives the job population through a chaos proxy at each intensity
 /// against an in-process server, one fresh server + proxy per cell.
 ///
@@ -98,7 +91,7 @@ pub struct ChaosCell {
 /// driver).
 pub fn intensity_sweep(intensities: &[f64], jobs: usize, trials: usize) -> Vec<ChaosCell> {
     let specs = population(jobs, trials);
-    let baseline = baseline_digests(&specs, "sweep");
+    let baseline = baseline_digests(&specs);
     let policy = chaos_policy();
 
     let mut cells = Vec::new();
@@ -287,7 +280,7 @@ pub fn kill_drill(
     intensity: f64,
 ) -> ChaosResumeReport {
     let specs = population(jobs, trials);
-    let baseline = baseline_digests(&specs, "drill");
+    let baseline = baseline_digests(&specs);
     let policy = chaos_policy();
 
     let mut legs = Vec::new();
@@ -453,11 +446,11 @@ mod tests {
         let cell = &cells[0];
         assert_eq!(cell.completed, 2);
         assert!(cell.identical && cell.census_exact);
-        let f = cell.faults;
         assert_eq!(
-            f.resets + f.cuts + f.corruptions + f.stalls + f.partial_writes + f.duplicates,
+            cell.injected(),
             0,
-            "the control cell must inject nothing: {f:?}"
+            "the control cell must inject nothing: {:?}",
+            cell.faults
         );
     }
 

@@ -17,9 +17,15 @@
 //! | `repro_resilience` | fault tolerance: quarantine/retry/deadline outcomes, kill-and-resume checkpoint identity |
 //! | `repro_serve` | extraction-as-a-service: server throughput, typed overload rejection, SIGKILL-and-restart job identity |
 //! | `repro_chaos` | chaos transport: fault-injection intensity sweep census, SIGKILL-through-proxy client session resume |
+//! | `repro_geometry` | BTB geometry ablation: tag cutoff × alias distance, associativity |
+//! | `repro_mitigations` | §8.2 — BTB flush and domain-isolation mitigations |
+//! | `repro_noise_sweep` | NV-Core accuracy under injected eviction/jitter/squash noise |
+//! | `repro_seq_fingerprint` | §8.3 — ordered-trace (DNA-style) fingerprinting vs. the §6.4 set |
+//! | `repro_traversal` | Figure 10 — NV-S discovery fan-out vs. enclave-run budget |
 //!
 //! The library half holds the shared experiment plumbing so the binaries
-//! stay declarative.
+//! stay declarative: the §2 experiment drivers ([`experiments`]), the
+//! flag parser ([`Args`]) and the output writer ([`write_output`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,34 +39,174 @@ pub mod serve_load;
 
 use std::collections::BTreeSet;
 
-use nightvision::{fingerprint, trace, NvSupervisor, SupervisorConfig};
-use nv_isa::VirtAddr;
+use nightvision::{fingerprint, trace, NvSupervisor, PwSpec, SupervisorConfig};
+use nv_isa::{Assembler, VirtAddr};
 use nv_os::Enclave;
-use nv_uarch::{Core, UarchConfig};
+use nv_uarch::{Core, Machine, UarchConfig};
+use nv_victims::compile::{compile_gcd, CompileOptions, CompiledFunction};
 
-/// Parses `--flag value` style arguments; returns the value following
-/// `flag`, if present.
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The command line of a repro binary: `--flag value` pairs and bare
+/// switches. Each getter consumes the first occurrence of its flag;
+/// [`Args::finish`] then rejects a malformed or missing value and any
+/// argument no getter consumed, so a typo never silently becomes a
+/// default.
+#[derive(Debug)]
+pub struct Args {
+    bin: String,
+    args: Vec<String>,
+    used: Vec<bool>,
+    error: Option<String>,
 }
 
-/// `true` if the bare flag is present.
-pub fn arg_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+impl Args {
+    /// The process's own arguments (`std::env::args`).
+    pub fn parse() -> Self {
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        Self::new(bin.rsplit('/').next().unwrap_or_default(), argv.collect())
+    }
+
+    fn new(bin: &str, args: Vec<String>) -> Self {
+        Self {
+            bin: bin.to_owned(),
+            used: vec![false; args.len()],
+            args,
+            error: None,
+        }
+    }
+
+    fn take(&mut self, flag: &str) -> Option<usize> {
+        let at = self.args.iter().position(|a| a == flag)?;
+        self.used[at] = true;
+        Some(at)
+    }
+
+    /// `true` if the bare switch `flag` is present.
+    pub fn switch(&mut self, flag: &str) -> bool {
+        self.take(flag).is_some()
+    }
+
+    /// The value following `flag`, if the flag is present.
+    fn value<T: std::str::FromStr>(&mut self, flag: &str) -> Option<T> {
+        let at = self.take(flag)?;
+        let error = match self.args.get(at + 1).filter(|v| !v.starts_with("--")) {
+            None => format!("{flag} needs a value"),
+            Some(raw) => {
+                self.used[at + 1] = true;
+                match raw.parse() {
+                    Ok(value) => return Some(value),
+                    Err(_) => format!("invalid value '{raw}' for {flag}"),
+                }
+            }
+        };
+        self.error.get_or_insert(error);
+        None
+    }
+
+    /// The value following `flag`, or `default` if the flag is absent.
+    pub fn get<T: std::str::FromStr>(&mut self, flag: &str, default: T) -> T {
+        self.value(flag).unwrap_or(default)
+    }
+
+    /// The value following `flag`, which must be present.
+    pub fn required<T: std::str::FromStr + Default>(&mut self, flag: &str) -> T {
+        self.value(flag).unwrap_or_else(|| {
+            self.error.get_or_insert(format!("{flag} is required"));
+            T::default()
+        })
+    }
+
+    /// The shared `--threads N` flag (default 1, at least 1). Thread count
+    /// affects wall-clock time only: every binary routes trials through
+    /// the [`nightvision::campaign`] engine, whose merged output is
+    /// byte-identical for any value.
+    pub fn threads(&mut self) -> usize {
+        self.get("--threads", 1).max(1)
+    }
+
+    /// The first malformed or missing value, or the first argument no
+    /// getter consumed.
+    fn check(&self) -> Result<(), String> {
+        if let Some(error) = &self.error {
+            return Err(error.clone());
+        }
+        let Some(at) = self.used.iter().position(|&used| !used) else {
+            return Ok(());
+        };
+        let arg = &self.args[at];
+        match at.checked_sub(1).map(|prev| &self.args[prev]) {
+            Some(switch) if switch.starts_with("--") && !arg.starts_with("--") => {
+                Err(format!("{switch} takes no value, got '{arg}'"))
+            }
+            _ => Err(format!("unexpected argument '{arg}'")),
+        }
+    }
+
+    /// Ends parsing: on a malformed or missing value, or an argument no
+    /// getter consumed, prints `<bin>: <error>` to stderr and exits with
+    /// status 2.
+    pub fn finish(&self) {
+        if let Err(error) = self.check() {
+            eprintln!("{}: {error}", self.bin);
+            std::process::exit(2);
+        }
+    }
+
+    /// Where a binary writes a document: the value of `flag`, else
+    /// `target/<stem>_smoke.json` under `smoke` (so CI never dirties a
+    /// checked-in baseline), else `<stem>.json`.
+    pub fn out_path(&mut self, flag: &str, stem: &str, smoke: bool) -> String {
+        self.value(flag).unwrap_or_else(|| {
+            if smoke {
+                format!("target/{stem}_smoke.json")
+            } else {
+                format!("{stem}.json")
+            }
+        })
+    }
 }
 
-/// Parses the shared `--threads N` flag (default 1). Thread count affects
-/// wall-clock time only: every binary routes trials through the
-/// [`nightvision::campaign`] engine, whose merged output is byte-identical
-/// for any value.
-pub fn threads_flag(args: &[String]) -> usize {
-    arg_value(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
+/// Writes `contents` to `path`, creating its parent directory first.
+///
+/// # Panics
+///
+/// Panics if the directory or file cannot be written.
+pub fn write_output(path: &str, contents: &str) {
+    if let Some(parent) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(parent).expect("create output directory");
+    }
+    std::fs::write(path, contents).expect("write output file");
+}
+
+/// `windows` 16-byte prediction windows chained at `mon + 0x40·i` (the
+/// Figure 7 optimization).
+pub fn window_chain(mon: u64, windows: usize) -> Vec<PwSpec> {
+    (0..windows as u64)
+        .map(|i| PwSpec::new(VirtAddr::new(mon + 0x40 * i), 16).expect("window"))
+        .collect()
+}
+
+/// A victim fragment at `entry`: `nops` one-byte nops, then `halt`.
+pub fn nop_fragment(entry: u64, nops: usize) -> Machine {
+    let mut asm = Assembler::new(VirtAddr::new(entry));
+    for _ in 0..nops {
+        asm.nop();
+    }
+    asm.halt();
+    Machine::new(asm.finish().expect("victim fragment assembles"))
+}
+
+/// The GCD victim as the fingerprinting and profiling experiments compile
+/// it: default options, loaded at `0x40_0000`, operands `0xbeef_1235` and
+/// 65537.
+pub fn default_gcd() -> CompiledFunction {
+    compile_gcd(
+        &CompileOptions::default(),
+        VirtAddr::new(0x40_0000),
+        0xbeef_1235,
+        65537,
+    )
+    .expect("GCD compiles")
 }
 
 /// Runs the full NV-S attack against `program` loaded as an enclave and
@@ -186,7 +332,7 @@ pub fn similarity_pct(victim: &BTreeSet<u64>, reference: &BTreeSet<u64>) -> f64 
 }
 
 /// Renders one row of a fixed-width table.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
+pub fn row(cells: &[impl std::fmt::Display], widths: &[usize]) -> String {
     cells
         .iter()
         .zip(widths)
@@ -199,21 +345,74 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 mod tests {
     use super::*;
 
+    fn args(argv: &[&str]) -> Args {
+        Args::new("repro_test", argv.iter().map(|a| a.to_string()).collect())
+    }
+
     #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["--runs", "5", "--full"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_value(&args, "--runs").as_deref(), Some("5"));
-        assert_eq!(arg_value(&args, "--victim"), None);
-        assert!(arg_present(&args, "--full"));
-        assert!(!arg_present(&args, "--quick"));
+    fn values_parse_and_default() {
+        let mut a = args(&["--runs", "5", "--victim", "gcd"]);
+        assert_eq!(a.get("--runs", 100usize), 5);
+        assert_eq!(a.get("--victim", "both".to_string()), "gcd");
+        assert_eq!(a.get("--top", 10usize), 10);
+        assert!(!a.switch("--full"));
+        assert_eq!(a.check(), Ok(()));
+    }
+
+    #[test]
+    fn malformed_and_missing_values_are_rejected() {
+        let mut a = args(&["--runs", "abc"]);
+        assert_eq!(a.get("--runs", 100usize), 100);
+        assert_eq!(a.check(), Err("invalid value 'abc' for --runs".into()));
+
+        let mut a = args(&["--out", "--smoke"]);
+        assert!(a.switch("--smoke"));
+        assert_eq!(a.value::<String>("--out"), None);
+        assert_eq!(a.check(), Err("--out needs a value".into()));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let mut a = args(&["--smoke", "--trails", "5"]);
+        assert!(a.switch("--smoke"));
+        assert_eq!(a.get("--trials", 6usize), 6);
+        assert_eq!(a.check(), Err("unexpected argument '--trails'".into()));
+    }
+
+    #[test]
+    fn a_switch_takes_no_value() {
+        let mut a = args(&["--full", "175168"]);
+        assert!(a.switch("--full"));
+        assert_eq!(a.get("--functions", 20_000usize), 20_000);
+        assert_eq!(a.check(), Err("--full takes no value, got '175168'".into()));
+    }
+
+    #[test]
+    fn threads_clamp_to_one() {
+        assert_eq!(args(&["--threads", "0"]).threads(), 1);
+        assert_eq!(args(&["--threads", "4"]).threads(), 4);
+        assert_eq!(args(&[]).threads(), 1);
+    }
+
+    #[test]
+    fn child_server_flags_parse() {
+        let mut a = args(&["--serve", "--spool", "spool", "--workers", "8"]);
+        let flags = serve_load::child_server_flags(&mut a);
+        assert_eq!(flags, Some(("spool".into(), 8)));
+        assert_eq!(a.check(), Ok(()));
+
+        let mut a = args(&["--serve", "--workers", "2"]);
+        serve_load::child_server_flags(&mut a);
+        assert_eq!(a.check(), Err("--spool is required".into()));
+
+        let mut a = args(&["--smoke"]);
+        assert_eq!(serve_load::child_server_flags(&mut a), None);
+        assert!(a.check().is_err(), "--smoke is left to the caller");
     }
 
     #[test]
     fn table_rows_align() {
-        let line = row(&["a".into(), "12".into()], &[4, 6]);
+        let line = row(&["a", "12"], &[4, 6]);
         assert_eq!(line, "   a      12");
     }
 }

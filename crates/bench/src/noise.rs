@@ -11,9 +11,10 @@
 //! `--threads` value.
 
 use nightvision::campaign::Campaign;
-use nightvision::{NvCore, PwSpec, Resilience};
-use nv_isa::{Assembler, VirtAddr};
-use nv_uarch::{Core, Machine, Perturbation, UarchConfig};
+use nightvision::{NvCore, Resilience};
+use nv_uarch::{Core, Perturbation, UarchConfig};
+
+use crate::{nop_fragment, window_chain};
 
 /// Base of the monitored region; the battery chains four 16-byte windows
 /// at `MON + {0, 0x40, 0x80, 0xC0}` (the Figure 7 optimization) so the
@@ -75,21 +76,6 @@ const CASES: [(u64, usize, [bool; WINDOWS]); 4] = [
     (MON + 0x100, 150, [false, false, false, false]), // entirely above
 ];
 
-fn build_victim(entry: u64, nops: usize) -> Machine {
-    let mut asm = Assembler::new(VirtAddr::new(entry));
-    for _ in 0..nops {
-        asm.nop();
-    }
-    asm.halt();
-    Machine::new(asm.finish().expect("victim fragment assembles"))
-}
-
-fn chain() -> Vec<PwSpec> {
-    (0..WINDOWS as u64)
-        .map(|i| PwSpec::new(VirtAddr::new(MON + 0x40 * i), 16).expect("window"))
-        .collect()
-}
-
 /// Runs the battery once on a freshly perturbed core per case; returns
 /// `(correct, total)` over per-window verdicts. A failed measurement
 /// (probe error, retries exhausted) counts every window as incorrect —
@@ -107,11 +93,12 @@ fn battery_accuracy(base: Perturbation, seeds: &[u64], resilience: Resilience) -
             perturbation,
             ..UarchConfig::default()
         });
-        let mut nv = NvCore::with_resilience(chain(), resilience).expect("nv-core");
+        let mut nv =
+            NvCore::with_resilience(window_chain(MON, WINDOWS), resilience).expect("nv-core");
         let verdict = nv.begin(&mut core).and_then(|()| {
             nv.measure(&mut core, |core| {
                 core.reset_frontend();
-                let mut victim = build_victim(entry, nops);
+                let mut victim = nop_fragment(entry, nops);
                 core.run(&mut victim, 2_000);
             })
         });

@@ -22,12 +22,12 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use nightvision::campaign::Campaign;
-use nightvision::{NvCore, NvSupervisor, PwSpec, Resilience, SupervisorConfig};
-use nv_isa::{Assembler, VirtAddr};
+use nightvision::{NvCore, NvSupervisor, Resilience, SupervisorConfig};
 use nv_obs::{Metrics, Phase, Recorder};
 use nv_os::Enclave;
 use nv_uarch::{Core, Machine, Perturbation, UarchConfig};
-use nv_victims::compile::{compile_gcd, CompileOptions};
+
+use crate::{default_gcd, nop_fragment, window_chain};
 
 /// Event-ring capacity for the profiles: large enough that the smoke
 /// profile keeps every record, bounded so a full run cannot balloon.
@@ -41,18 +41,6 @@ pub const OVERHEAD_LIMIT: f64 = 1.02;
 
 /// Base of the campaign's monitored region.
 const MON: u64 = 0x40_0500;
-
-fn gcd_program() -> nv_isa::Program {
-    compile_gcd(
-        &CompileOptions::default(),
-        VirtAddr::new(0x40_0000),
-        0xbeef_1235,
-        65537,
-    )
-    .expect("victim compiles")
-    .program()
-    .clone()
-}
 
 /// One observed NV-S extraction: the phase/event aggregate plus the raw
 /// recorder (spans and retained events) for Chrome-trace export.
@@ -75,7 +63,7 @@ pub struct NvSProfile {
 ///
 /// Panics if the extraction fails (this is an experiment driver).
 pub fn profile_nv_s() -> NvSProfile {
-    let mut enclave = Enclave::new(gcd_program());
+    let mut enclave = Enclave::new(default_gcd().program().clone());
     let mut core = Core::new(UarchConfig::default());
     core.attach_obs(Recorder::new(EVENT_CAPACITY));
     let extracted = NvSupervisor::new(SupervisorConfig::default())
@@ -88,21 +76,6 @@ pub fn profile_nv_s() -> NvSProfile {
         resolved_pcs: extracted.pcs().len(),
         recorder,
     }
-}
-
-fn campaign_chain() -> Vec<PwSpec> {
-    (0..2u64)
-        .map(|i| PwSpec::new(VirtAddr::new(MON + 0x40 * i), 16).expect("window"))
-        .collect()
-}
-
-fn build_fragment(entry: u64, nops: usize) -> Machine {
-    let mut asm = Assembler::new(VirtAddr::new(entry));
-    for _ in 0..nops {
-        asm.nop();
-    }
-    asm.halt();
-    Machine::new(asm.finish().expect("fragment assembles"))
 }
 
 /// Runs `trials` observed NV-Core trials under paper-calibrated noise
@@ -127,12 +100,12 @@ pub fn campaign_profile(trials: usize, threads: usize) -> (Vec<usize>, Metrics) 
             let mut recorder = Recorder::new(EVENT_CAPACITY);
             recorder.enter(Phase::Trial, 0);
             core.attach_obs(recorder);
-            let mut nv = NvCore::with_resilience(campaign_chain(), Resilience::paper_robust())
+            let mut nv = NvCore::with_resilience(window_chain(MON, 2), Resilience::paper_robust())
                 .expect("nv-core");
             let matched = nv.begin(&mut core).and_then(|()| {
                 nv.measure(&mut core, |core| {
                     core.reset_frontend();
-                    let mut victim = build_fragment(MON, 60);
+                    let mut victim = nop_fragment(MON, 60);
                     core.run(&mut victim, 2_000);
                 })
             });
@@ -197,7 +170,7 @@ const BATCH: Duration = Duration::from_millis(10);
 /// timing — because on a shared host the memory layout alone moves two
 /// otherwise identical cores apart by several percent.
 pub fn measure_disabled_overhead(rounds: usize) -> OverheadReport {
-    let mut machine = Machine::new(gcd_program());
+    let mut machine = Machine::new(default_gcd().program().clone());
     let mut core = Core::new(UarchConfig::default());
     let mut timed_run = |observed: bool| {
         if observed {

@@ -25,16 +25,19 @@
 //! trial-index-ordered. `--threads` changes wall-clock time only.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nightvision::campaign::{Campaign, Trial};
 use nightvision::{
-    AttackError, CampaignCheckpoint, FailurePolicy, NvCore, PwSpec, Resilience, TrialOutcome,
+    AttackError, CampaignCheckpoint, FailurePolicy, NvCore, Resilience, TrialOutcome,
 };
 use nv_isa::{Assembler, VirtAddr};
 use nv_obs::EventKind;
 use nv_uarch::{Core, Machine, UarchConfig};
+
+use crate::serve_load::scratch_dir;
+use crate::{nop_fragment, window_chain};
 
 /// Base of the monitored region (same alias-friendly neighbourhood the
 /// other benches use).
@@ -49,21 +52,6 @@ pub const MASTER_SEED: u64 = 0x5e11_f00d;
 /// Per-trial watchdog budget in retirement steps. Clean trials finish in
 /// well under half of this; the injected wedge spins past it.
 pub const DEADLINE_STEPS: u64 = 20_000;
-
-fn chain() -> Vec<PwSpec> {
-    (0..WINDOWS as u64)
-        .map(|i| PwSpec::new(VirtAddr::new(MON + 0x40 * i), 16).expect("window"))
-        .collect()
-}
-
-fn build_victim(entry: u64, nops: usize) -> Machine {
-    let mut asm = Assembler::new(VirtAddr::new(entry));
-    for _ in 0..nops {
-        asm.nop();
-    }
-    asm.halt();
-    Machine::new(asm.finish().expect("victim fragment assembles"))
-}
 
 /// One clean NV-Core overlap measurement, driven entirely by the trial's
 /// rng stream. Returns a compact signature (window-overlap bitmask plus
@@ -82,11 +70,11 @@ pub fn clean_trial(trial: &mut Trial) -> Result<u64, AttackError> {
     let below = trial.rng.gen_range(0..4u64) * 0x40;
     let nops = 8 + trial.rng.gen_range(0..96u64) as usize;
     let entry = MON - below;
-    let mut nv = NvCore::with_resilience(chain(), Resilience::none())?;
+    let mut nv = NvCore::with_resilience(window_chain(MON, WINDOWS), Resilience::none())?;
     nv.begin(&mut core)?;
     let matched = nv.measure(&mut core, |core| {
         core.reset_frontend();
-        let mut victim = build_victim(entry, nops);
+        let mut victim = nop_fragment(entry, nops);
         core.run(&mut victim, 4_000);
     })?;
     let mut signature = 0u64;
@@ -110,7 +98,7 @@ pub fn clean_trial(trial: &mut Trial) -> Result<u64, AttackError> {
 fn wedged_trial(trial: &mut Trial) -> Result<u64, AttackError> {
     let mut core = Core::new(UarchConfig::default());
     trial.arm(&mut core);
-    let mut nv = NvCore::with_resilience(chain(), Resilience::none())?;
+    let mut nv = NvCore::with_resilience(window_chain(MON, WINDOWS), Resilience::none())?;
     nv.begin(&mut core)?;
     nv.measure(&mut core, |core| {
         // The "victim" never halts; the run-loop step cap stands in for
@@ -345,7 +333,7 @@ pub fn resume_demo(trials: usize, kill_at: usize, thread_counts: &[usize]) -> Re
     let mut reexecuted = Vec::new();
     for &threads in thread_counts {
         let campaign = demo_campaign(trials, threads);
-        let path = scratch_path(&format!("resume_t{threads}"));
+        let path = scratch_dir(&format!("resume_t{threads}"));
         // Kill a *serial* run so exactly `kill_at` trials reach the
         // checkpoint — with parallel workers the kill races trial
         // completion and the surviving count would leak scheduling
@@ -401,7 +389,7 @@ pub fn corruption_demo(trials: usize, threads: usize) -> CorruptionReport {
         .run_supervised(|mut t| clean_trial(&mut t))
         .0;
     let campaign = demo_campaign(trials, threads);
-    let path = scratch_path("corrupt");
+    let path = scratch_dir("corrupt");
     let kill_at = trials / 2;
     // Serial kill for the same reason as resume_demo: the surviving
     // record count must not depend on worker scheduling.
@@ -426,13 +414,6 @@ pub fn corruption_demo(trials: usize, threads: usize) -> CorruptionReport {
         dropped_records: dropped,
         resume_identical: resumed == baseline,
     }
-}
-
-fn scratch_path(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!("nv_resilience_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
 }
 
 /// The full demo suite, rendered to `BENCH_resilience.json`.

@@ -28,6 +28,8 @@ use nv_serve::job::run_job;
 use nv_serve::proto::RejectReason;
 use nv_serve::{Client, JobSpec, Server, ServerConfig, Submission};
 
+use crate::Args;
+
 /// Seed base for the demo job population.
 pub const SEED_BASE: u64 = 0x5e7_e000;
 
@@ -41,6 +43,21 @@ pub(crate) fn scratch_dir(name: &str) -> PathBuf {
     path.push(format!("nv_repro_{name}_{}_{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&path);
     path
+}
+
+/// Uninterrupted-baseline digests for `specs`, computed directly
+/// through the same job runner the server uses.
+pub(crate) fn baseline_digests(specs: &[JobSpec]) -> Vec<u64> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let path = scratch_dir(&format!("baseline_{i}")).with_extension("ckpt");
+            let report = run_job(0, spec, &path, None, |_| {}).expect("baseline job");
+            let _ = std::fs::remove_file(&path);
+            report.digest
+        })
+        .collect()
 }
 
 /// A small NV-Core extraction job — the bread-and-butter tenant request.
@@ -348,15 +365,28 @@ pub(crate) fn spawn_server(exe: &Path, spool: &Path, workers: usize) -> (Child, 
     (child, addr)
 }
 
-/// Child-process entry point for `--serve` mode: start a server, print
-/// the bound address, park until killed.
+/// The flags of the internal child-server mode, `--serve --spool P
+/// --workers N` as `spawn_server` passes them; `None` without `--serve`.
+pub fn child_server_flags(args: &mut Args) -> Option<(PathBuf, usize)> {
+    args.switch("--serve")
+        .then(|| (args.required("--spool"), args.get("--workers", 1)))
+}
+
+/// The child-server mode of `repro_serve` and `repro_chaos`. With
+/// `--serve`, checks the remaining flags, starts a server on the spool,
+/// prints its bound address as `LISTENING <addr>` and parks until
+/// killed. Otherwise returns and leaves the flags to the caller.
 ///
 /// # Panics
 ///
-/// Panics if the server cannot start on `spool`.
-pub fn serve_forever(spool: &Path, workers: usize) -> ! {
+/// Panics if the server cannot start on the spool.
+pub fn serve_if_child(args: &mut Args) {
     use std::io::Write;
-    let mut config = ServerConfig::new(spool);
+    let Some((spool, workers)) = child_server_flags(args) else {
+        return;
+    };
+    args.finish();
+    let mut config = ServerConfig::new(&spool);
     config.workers = workers;
     config.queue_cap = 1024;
     config.tenant_quota = 1024;
@@ -400,21 +430,10 @@ pub fn resume_demo(
     jobs: usize,
     trials: usize,
 ) -> ServeResumeReport {
-    // The uninterrupted baseline: each spec's digest, computed directly
-    // through the same job runner the server uses.
     let specs: Vec<JobSpec> = (0..jobs)
         .map(|i| small_job(trials, SEED_BASE ^ 0x6b11 ^ i as u64))
         .collect();
-    let baseline: Vec<u64> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let path = scratch_dir(&format!("serve_baseline_{i}")).with_extension("ckpt");
-            let report = run_job(0, spec, &path, None, |_| {}).expect("baseline job");
-            let _ = std::fs::remove_file(&path);
-            report.digest
-        })
-        .collect();
+    let baseline = baseline_digests(&specs);
 
     let mut legs = Vec::new();
     let mut resumed_total = 0u64;

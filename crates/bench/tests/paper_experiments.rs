@@ -2,93 +2,14 @@
 //! experiments (§2.3 Figure 1/2 and §2.4 Figure 3/4), asserting the exact
 //! collision boundaries the paper reports.
 //!
-//! These tests are the ground truth behind the `repro_fig2` and
-//! `repro_fig4` benchmark binaries in `nv-bench`.
+//! The drivers are [`nv_bench::experiments`], the same code behind the
+//! `repro_fig2` and `repro_fig4` binaries.
 
+use nv_bench::experiments::{
+    experiment1_elapsed, experiment2_elapsed, experiment2_program, run_drivers, B1, DRIVER,
+};
 use nv_isa::{Assembler, VirtAddr};
-use nv_uarch::{Core, Machine, RunExit, UarchConfig};
-
-/// Base of the F1 region (victim jump).
-const B1: u64 = 0x40_0000;
-/// Base of the F2 region: 8 GiB away, so low 33 bits match B1's.
-const B2: u64 = B1 + (1 << 33);
-/// Driver code lives in a non-aliasing region.
-const DRIVER: u64 = 0x10_0000;
-
-/// Builds the Experiment 1 program (Figure 1 of the paper):
-///
-/// ```text
-/// F1:  jmp L1        // [F1, F1+1]
-/// L1:  ret
-/// <8 GiB padding>
-/// F2:  nop; ...; nop // [F2, L2-1]
-/// L2:  ret
-/// ```
-///
-/// plus three driver stubs that call F1, F2 and F1 again.
-fn experiment1_program(f1_off: u64, f2_off: u64, l2_off: u64) -> nv_isa::Program {
-    assert!(f1_off + 2 <= l2_off, "paper constraint: F1 <= L2 - 2");
-    let mut asm = Assembler::new(VirtAddr::new(DRIVER));
-    asm.label("drv_f1_first");
-    asm.call("F1");
-    asm.syscall(1);
-    asm.label("drv_f2");
-    // F2 is 8 GiB away: out of rel32 reach, call indirectly.
-    asm.mov_label(nv_isa::Reg::R9, "F2");
-    asm.call_ind(nv_isa::Reg::R9);
-    asm.syscall(2);
-    asm.label("drv_f1_second");
-    asm.call("F1");
-    asm.syscall(3);
-
-    asm.org(VirtAddr::new(B1 + f1_off)).unwrap();
-    asm.label("F1");
-    asm.jmp8("L1");
-    asm.pad_to(VirtAddr::new(B1 + f1_off + 8));
-    asm.label("L1");
-    asm.ret();
-
-    asm.org(VirtAddr::new(B2 + f2_off)).unwrap();
-    asm.label("F2");
-    asm.pad_to(VirtAddr::new(B2 + l2_off));
-    asm.label("L2");
-    asm.ret();
-
-    asm.finish().expect("experiment 1 assembles")
-}
-
-/// Runs one Experiment 1 iteration and returns the elapsed-cycles field of
-/// the LBR record for the `ret` following the second execution of
-/// `jmp L1` — exactly the measurement of Figure 2. `call_f2` toggles the
-/// baseline (blue line) vs. the full experiment (orange line).
-fn experiment1_elapsed(f1_off: u64, f2_off: u64, l2_off: u64, call_f2: bool) -> u64 {
-    let program = experiment1_program(f1_off, f2_off, l2_off);
-    let drv1 = program.symbol("drv_f1_first").unwrap();
-    let drv2 = program.symbol("drv_f2").unwrap();
-    let drv3 = program.symbol("drv_f1_second").unwrap();
-    let l1 = program.symbol("L1").unwrap();
-    let mut machine = Machine::new(program);
-    let mut core = Core::new(UarchConfig::default());
-
-    core.btb_mut().flush(); // line 12 of Figure 1
-    machine.state_mut().set_pc(drv1);
-    core.reset_frontend();
-    assert_eq!(core.run(&mut machine, 100), RunExit::Syscall(1));
-    if call_f2 {
-        machine.state_mut().set_pc(drv2);
-        core.reset_frontend();
-        assert_eq!(core.run(&mut machine, 100), RunExit::Syscall(2));
-    }
-    core.lbr_mut().clear();
-    machine.state_mut().set_pc(drv3);
-    core.reset_frontend();
-    assert_eq!(core.run(&mut machine, 100), RunExit::Syscall(3));
-
-    core.lbr()
-        .find_from(l1)
-        .expect("ret after jmp L1 was recorded")
-        .elapsed
-}
+use nv_uarch::{Core, Machine, UarchConfig};
 
 #[test]
 fn experiment1_collision_boundary_is_f1_plus_2() {
@@ -194,94 +115,6 @@ fn experiment1_holds_across_generations() {
     }
 }
 
-/// Builds the Experiment 2 program (Figure 3 of the paper):
-///
-/// ```text
-/// F1:  nop; ...; nop   // F1 in [0, 0x1e], nops up to J1
-/// J1:  jmp L1          // fixed at [0x1e, 0x1f]
-/// L1:  ret
-/// <8 GiB padding>
-/// F2:  jmp L2          // [F2, F2+1], F2 in [0, 0x1c]
-/// L2:  ret
-/// ```
-fn experiment2_program(f1_off: u64, f2_off: u64) -> nv_isa::Program {
-    assert!(f1_off <= 0x1e && f2_off <= 0x1c);
-    let mut asm = Assembler::new(VirtAddr::new(DRIVER));
-    asm.label("drv_j1");
-    asm.call("J1");
-    asm.syscall(1);
-    asm.label("drv_f2");
-    asm.mov_label(nv_isa::Reg::R9, "F2");
-    asm.call_ind(nv_isa::Reg::R9);
-    asm.syscall(2);
-    asm.label("drv_f1");
-    asm.call("F1");
-    asm.syscall(3);
-
-    asm.org(VirtAddr::new(B1 + f1_off)).unwrap();
-    asm.label("F1");
-    asm.pad_to(VirtAddr::new(B1 + 0x1e));
-    asm.label("J1");
-    asm.jmp8("L1"); // [0x1e, 0x1f]
-    asm.label("L1"); // 0x20
-    asm.ret();
-
-    asm.org(VirtAddr::new(B2 + f2_off)).unwrap();
-    asm.label("F2");
-    asm.jmp8("L2");
-    asm.pad_to(VirtAddr::new(B2 + 0x20));
-    asm.label("L2");
-    asm.ret();
-
-    asm.finish().expect("experiment 2 assembles")
-}
-
-/// Runs one Experiment 2 iteration: the elapsed cycles between the retire
-/// of the call to F1 (line 17 of Figure 3) and the return after `jmp L1` —
-/// the Figure 4 measurement. The LBR interval is the sum of the elapsed
-/// fields of the records after the call's record.
-fn experiment2_elapsed(f1_off: u64, f2_off: u64, call_f2: bool) -> u64 {
-    let program = experiment2_program(f1_off, f2_off);
-    let drv_j1 = program.symbol("drv_j1").unwrap();
-    let drv_f2 = program.symbol("drv_f2").unwrap();
-    let drv_f1 = program.symbol("drv_f1").unwrap();
-    let l1 = program.symbol("L1").unwrap();
-    let mut machine = Machine::new(program);
-    let mut core = Core::new(UarchConfig::default());
-
-    core.btb_mut().flush(); // line 14
-    machine.state_mut().set_pc(drv_j1); // line 15: allocate a BTB entry
-    core.reset_frontend();
-    assert_eq!(core.run(&mut machine, 100), RunExit::Syscall(1));
-    if call_f2 {
-        machine.state_mut().set_pc(drv_f2); // line 16: allocate another
-        core.reset_frontend();
-        assert_eq!(core.run(&mut machine, 100), RunExit::Syscall(2));
-    }
-    core.lbr_mut().clear();
-    machine.state_mut().set_pc(drv_f1); // line 17: observe
-    core.reset_frontend();
-    assert_eq!(core.run(&mut machine, 100), RunExit::Syscall(3));
-
-    // Records: call drv_f1 -> F1, then jmp L1 -> L1, then ret L1 -> driver.
-    // The interval from the call's retire to the ret's retire is the sum of
-    // the elapsed fields of the records that follow the call's.
-    let records: Vec<_> = core.lbr().iter().collect();
-    let call_idx = records
-        .iter()
-        .position(|r| r.from == drv_f1)
-        .expect("call recorded");
-    let ret_idx = records
-        .iter()
-        .position(|r| r.from == l1)
-        .expect("ret after jmp L1 recorded");
-    assert!(ret_idx > call_idx);
-    records[call_idx + 1..=ret_idx]
-        .iter()
-        .map(|r| r.elapsed)
-        .sum()
-}
-
 #[test]
 fn experiment2_misprediction_boundary_is_f2_plus_2() {
     // Figure 4: with F2's entry present, executing the PW from F1 behaves
@@ -344,19 +177,10 @@ fn experiment2_entry_for_jmp_l1_survives() {
     // allocated for jmp L1" — they differ in offset, so both coexist, and
     // the false hit deallocates only jmp L2's entry.
     let program = experiment2_program(0x00, 0x08);
-    let drv_j1 = program.symbol("drv_j1").unwrap();
-    let drv_f2 = program.symbol("drv_f2").unwrap();
-    let drv_f1 = program.symbol("drv_f1").unwrap();
     let j1 = program.symbol("J1").unwrap();
     let f2 = program.symbol("F2").unwrap();
-    let mut machine = Machine::new(program);
-    let mut core = Core::new(UarchConfig::default());
+    let core = run_drivers(program, true);
 
-    for (driver, _sys) in [(drv_j1, 1u8), (drv_f2, 2), (drv_f1, 3)] {
-        machine.state_mut().set_pc(driver);
-        core.reset_frontend();
-        core.run(&mut machine, 100);
-    }
     // jmp L1's entry survives (indexed by its end byte at offset 0x1f).
     assert!(
         core.btb().entry_at(j1.offset(1)).is_some(),

@@ -330,43 +330,30 @@ impl AttackerRig {
     ///
     /// Returns [`AttackError::ProbeFailed`] if any pass fails.
     pub fn calibrate(&mut self, core: &mut Core) -> Result<(), AttackError> {
-        self.calibrate_with(core, CALIBRATION_PASSES)
-    }
-
-    /// [`AttackerRig::calibrate`] with an explicit quiet-pass count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::ProbeFailed`] if any pass fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `passes` is zero.
-    pub fn calibrate_with(&mut self, core: &mut Core, passes: usize) -> Result<(), AttackError> {
-        assert!(passes > 0, "calibration needs at least one pass");
         core.obs_enter(Phase::Calibrate);
-        let result = self.calibrate_with_inner(core, passes);
+        let result = self.calibrate_inner(core);
         core.obs_exit(Phase::Calibrate);
         result
     }
 
-    fn calibrate_with_inner(&mut self, core: &mut Core, passes: usize) -> Result<(), AttackError> {
+    fn calibrate_inner(&mut self, core: &mut Core) -> Result<(), AttackError> {
         self.run_chain(core)?; // prime
         self.samples.clear();
-        self.samples.resize(2 * passes * self.pws.len(), 0);
-        for pass in 0..passes {
+        self.samples
+            .resize(2 * CALIBRATION_PASSES * self.pws.len(), 0);
+        for pass in 0..CALIBRATION_PASSES {
             self.measured_pass(core)?;
             for (window, &(own, next)) in self.elapsed.iter().enumerate() {
-                let own_at = 2 * passes * window + pass;
+                let own_at = 2 * CALIBRATION_PASSES * window + pass;
                 self.samples[own_at] = own;
-                self.samples[own_at + passes] = next;
+                self.samples[own_at + CALIBRATION_PASSES] = next;
             }
         }
         // Only a calibration whose every pass succeeded replaces the
         // previous baseline.
         self.baseline.clear();
-        for window in self.samples.chunks_exact_mut(2 * passes) {
-            let (own, next) = window.split_at_mut(passes);
+        for window in self.samples.chunks_exact_mut(2 * CALIBRATION_PASSES) {
+            let (own, next) = window.split_at_mut(CALIBRATION_PASSES);
             let (own_floor, own_margin) = WindowBaseline::derive(own);
             let (next_floor, next_margin) = WindowBaseline::derive(next);
             self.baseline.push(WindowBaseline {

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --example btb_recon`
 
+use nv_bench::experiments::{experiment1_elapsed, experiment2_elapsed};
 use nv_isa::VirtAddr;
 use nv_uarch::{BranchKind, Btb, BtbGeometry, CpuGeneration};
 
@@ -59,148 +60,41 @@ fn main() {
         );
     }
 
-    println!("\n== Figure 2 series (Experiment 1) ==\n");
-    println!("  F2    with_F2  baseline");
-    for f2 in 0..=0x16u64 {
-        let orange = nv_bench_experiments::experiment1_elapsed(0x10, f2, 0x1c, true);
-        let blue = nv_bench_experiments::experiment1_elapsed(0x10, f2, 0x1c, false);
-        let marker = if orange > blue {
-            "  <- collision (F2 < F1+2)"
-        } else {
-            ""
-        };
-        println!("  {f2:#04x}  {orange:>7}  {blue:>8}{marker}");
-    }
-
-    println!("\n== Figure 4 series (Experiment 2) ==\n");
-    println!("  F1    with_F2  baseline");
-    for f1 in 0..=0x1eu64 {
-        let orange = nv_bench_experiments::experiment2_elapsed(f1, 0x08, true);
-        let blue = nv_bench_experiments::experiment2_elapsed(f1, 0x08, false);
-        let marker = if orange > blue {
-            "  <- mispredict (F1 < F2+2)"
-        } else {
-            ""
-        };
-        println!("  {f1:#04x}  {orange:>7}  {blue:>8}{marker}");
-    }
+    series(
+        "Figure 2 series (Experiment 1)",
+        "F2",
+        0..=0x16,
+        "collision (F2 < F1+2)",
+        |f2, c| experiment1_elapsed(0x10, f2, 0x1c, c),
+    );
+    series(
+        "Figure 4 series (Experiment 2)",
+        "F1",
+        0..=0x1e,
+        "mispredict (F1 < F2+2)",
+        |f1, c| experiment2_elapsed(f1, 0x08, c),
+    );
 }
 
-/// Local copies of the experiment drivers (kept self-contained so the
-/// example only depends on the public crates).
-mod nv_bench_experiments {
-    use nv_isa::{Assembler, Program, Reg, VirtAddr};
-    use nv_uarch::{Core, Machine, RunExit, UarchConfig};
-
-    const B1: u64 = 0x40_0000;
-    const B2: u64 = B1 + (1 << 33);
-    const DRIVER: u64 = 0x10_0000;
-
-    pub fn experiment1_elapsed(f1: u64, f2: u64, l2: u64, call_f2: bool) -> u64 {
-        let program = experiment1_program(f1, f2, l2);
-        let l1 = program.symbol("L1").unwrap();
-        let (d1, d2, d3) = (
-            program.symbol("drv1").unwrap(),
-            program.symbol("drv2").unwrap(),
-            program.symbol("drv3").unwrap(),
-        );
-        let mut machine = Machine::new(program);
-        let mut core = Core::new(UarchConfig::default());
-        machine.state_mut().set_pc(d1);
-        core.run(&mut machine, 100);
-        if call_f2 {
-            machine.state_mut().set_pc(d2);
-            core.reset_frontend();
-            core.run(&mut machine, 100);
-        }
-        core.lbr_mut().clear();
-        machine.state_mut().set_pc(d3);
-        core.reset_frontend();
-        assert_eq!(core.run(&mut machine, 100), RunExit::Syscall(3));
-        core.lbr().find_from(l1).unwrap().elapsed
-    }
-
-    fn experiment1_program(f1: u64, f2: u64, l2: u64) -> Program {
-        let mut asm = Assembler::new(VirtAddr::new(DRIVER));
-        asm.label("drv1");
-        asm.call("F1");
-        asm.syscall(1);
-        asm.label("drv2");
-        asm.mov_label(Reg::R9, "F2");
-        asm.call_ind(Reg::R9);
-        asm.syscall(2);
-        asm.label("drv3");
-        asm.call("F1");
-        asm.syscall(3);
-        asm.org(VirtAddr::new(B1 + f1)).unwrap();
-        asm.label("F1");
-        asm.jmp8("L1");
-        asm.pad_to(VirtAddr::new(B1 + f1 + 8));
-        asm.label("L1");
-        asm.ret();
-        asm.org(VirtAddr::new(B2 + f2)).unwrap();
-        asm.label("F2");
-        asm.pad_to(VirtAddr::new(B2 + l2));
-        asm.label("L2");
-        asm.ret();
-        asm.finish().unwrap()
-    }
-
-    pub fn experiment2_elapsed(f1: u64, f2: u64, call_f2: bool) -> u64 {
-        let program = experiment2_program(f1, f2);
-        let l1 = program.symbol("L1").unwrap();
-        let (dj, df2, df1) = (
-            program.symbol("drv_j1").unwrap(),
-            program.symbol("drv_f2").unwrap(),
-            program.symbol("drv_f1").unwrap(),
-        );
-        let mut machine = Machine::new(program);
-        let mut core = Core::new(UarchConfig::default());
-        machine.state_mut().set_pc(dj);
-        core.run(&mut machine, 100);
-        if call_f2 {
-            machine.state_mut().set_pc(df2);
-            core.reset_frontend();
-            core.run(&mut machine, 100);
-        }
-        core.lbr_mut().clear();
-        machine.state_mut().set_pc(df1);
-        core.reset_frontend();
-        assert_eq!(core.run(&mut machine, 100), RunExit::Syscall(3));
-        let records: Vec<_> = core.lbr().iter().collect();
-        let call_idx = records.iter().position(|r| r.from == df1).unwrap();
-        let ret_idx = records.iter().position(|r| r.from == l1).unwrap();
-        records[call_idx + 1..=ret_idx]
-            .iter()
-            .map(|r| r.elapsed)
-            .sum()
-    }
-
-    fn experiment2_program(f1: u64, f2: u64) -> Program {
-        let mut asm = Assembler::new(VirtAddr::new(DRIVER));
-        asm.label("drv_j1");
-        asm.call("J1");
-        asm.syscall(1);
-        asm.label("drv_f2");
-        asm.mov_label(Reg::R9, "F2");
-        asm.call_ind(Reg::R9);
-        asm.syscall(2);
-        asm.label("drv_f1");
-        asm.call("F1");
-        asm.syscall(3);
-        asm.org(VirtAddr::new(B1 + f1)).unwrap();
-        asm.label("F1");
-        asm.pad_to(VirtAddr::new(B1 + 0x1e));
-        asm.label("J1");
-        asm.jmp8("L1");
-        asm.label("L1");
-        asm.ret();
-        asm.org(VirtAddr::new(B2 + f2)).unwrap();
-        asm.label("F2");
-        asm.jmp8("L2");
-        asm.pad_to(VirtAddr::new(B2 + 0x20));
-        asm.label("L2");
-        asm.ret();
-        asm.finish().unwrap()
+/// Prints one figure's orange (with F2) and blue (baseline) series,
+/// marking the offsets where they differ.
+fn series(
+    title: &str,
+    x: &str,
+    xs: std::ops::RangeInclusive<u64>,
+    note: &str,
+    measure: impl Fn(u64, bool) -> u64,
+) {
+    println!("\n== {title} ==\n");
+    println!("  {x}    with_F2  baseline");
+    for offset in xs {
+        let orange = measure(offset, true);
+        let blue = measure(offset, false);
+        let marker = if orange > blue {
+            format!("  <- {note}")
+        } else {
+            String::new()
+        };
+        println!("  {offset:#04x}  {orange:>7}  {blue:>8}{marker}");
     }
 }
