@@ -15,6 +15,10 @@ cargo test -q --release --offline -p nv-uarch --features proptest
 # The wide kill/resume sweep over random campaign shapes gates the
 # campaign engine (about 0.1 s once built).
 cargo test -q --release --offline --features proptest --test resilience --test campaign
+# The server's shutdown, overload and tenant-quota races surfaced only in
+# release builds, and stream timing depends on how updates batch, so the
+# serve crate's tests run in release too (about 12 s with the build).
+cargo test -q --release --offline -p nv-serve
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

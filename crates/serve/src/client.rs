@@ -21,8 +21,11 @@
 //! Connections carry a default write deadline so a stalled server
 //! cannot wedge a client in `write(2)` forever; *read* timeouts stay
 //! opt-in because a blocking wait for a long trial is the common case.
+//! Responses are read through a buffer, so a batch of streamed updates
+//! costs one `recv`, not four per frame.
 
 use std::collections::HashSet;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -100,7 +103,8 @@ pub struct FinishedJob {
 /// One blocking connection to a campaign server.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Reads responses through a buffer; requests go to the inner stream.
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -140,7 +144,9 @@ impl Client {
     fn configure(stream: TcpStream) -> std::io::Result<Client> {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(DEFAULT_WRITE_TIMEOUT))?;
-        Ok(Client { stream })
+        Ok(Client {
+            reader: BufReader::new(stream),
+        })
     }
 
     /// Sets (or clears) the read timeout for responses.
@@ -149,7 +155,7 @@ impl Client {
     ///
     /// I/O failure configuring the socket.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.reader.get_ref().set_read_timeout(timeout)
     }
 
     /// Overrides (or clears) the default write deadline.
@@ -158,16 +164,16 @@ impl Client {
     ///
     /// I/O failure configuring the socket.
     pub fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_write_timeout(timeout)
+        self.reader.get_ref().set_write_timeout(timeout)
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &request.encode())?;
+        write_frame(self.reader.get_mut(), &request.encode())?;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {
-        let payload = read_frame(&mut self.stream)?;
+        let payload = read_frame(&mut self.reader)?;
         Ok(Response::decode(&payload)?)
     }
 

@@ -18,7 +18,9 @@
 //!    into the job's **outcome ring**, a bounded per-job buffer of
 //!    sequence-numbered updates. Connections (the submitter, and any
 //!    later `resume_stream`) subscribe to the ring: a client that lost
-//!    its connection reconnects and replays only what it has not seen;
+//!    its connection reconnects and replays only what it has not seen.
+//!    A connection drains every update already queued for it and writes
+//!    them as one batch of frames;
 //! 3. the final [`Response::Done`] (or typed `Cancelled`/`Error`) is the
 //!    stream's cached terminal; the completion is journaled and the
 //!    per-job checkpoint deleted.
@@ -40,6 +42,7 @@
 //! connections all count in the nv-obs metrics served by `stats`.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -54,11 +57,24 @@ use nv_obs::{ObsEvent, Recorder};
 use crate::job::{run_job, JobError, JobSpec};
 use crate::journal::JobJournal;
 use crate::proto::{JobReport, RejectReason, Request, Response, ServerStats, TrialUpdate};
-use crate::wire::{is_protocol_violation, read_frame, write_frame, WireError};
+use crate::wire::{encode_frame, is_protocol_violation, read_frame, WireError};
 
 /// How long a blocked reader waits per poll before re-checking shutdown
 /// and the idle deadline.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// Whether an I/O error is a socket read or write deadline expiring.
+fn is_timeout(kind: std::io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Appends `response` to `batch` as one encoded frame.
+fn push_frame(batch: &mut Vec<u8>, response: &Response) {
+    batch.extend_from_slice(&encode_frame(&response.encode()));
+}
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -204,16 +220,23 @@ impl Inner {
         self.config.spool.join(format!("job_{job}.ckpt"))
     }
 
-    /// Writes one response, converting a blown write deadline into a
-    /// counted, typed drop instead of a wedged thread.
+    fn is_shutdown(&self) -> bool {
+        self.state.lock().expect("server state poisoned").shutdown
+    }
+
+    /// Writes one response; see [`Inner::send_frames`].
     fn send_response(&self, stream: &mut TcpStream, response: &Response) -> bool {
-        match write_frame(stream, &response.encode()) {
+        self.send_frames(stream, &encode_frame(&response.encode()))
+    }
+
+    /// Writes encoded frames with one `write_all`, converting a blown
+    /// write deadline into a counted, typed drop instead of a wedged
+    /// thread.
+    fn send_frames(&self, stream: &mut TcpStream, frames: &[u8]) -> bool {
+        match stream.write_all(frames) {
             Ok(()) => true,
             Err(err) => {
-                if matches!(
-                    err.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) {
+                if is_timeout(err.kind()) {
                     self.observe(ObsEvent::ConnWriteStalled {
                         timeout_ms: self.config.write_timeout.as_millis() as u64,
                     });
@@ -602,41 +625,38 @@ impl Inner {
         }
     }
 
-    fn handle_connection(&self, mut stream: TcpStream) {
+    /// Serves one connection. Requests are read through a buffer, so a
+    /// frame costs one `recv` however its header and payload split.
+    fn handle_connection(&self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(READ_POLL));
         let _ = stream.set_write_timeout(Some(self.config.write_timeout));
-        let mut idle = Duration::ZERO;
+        let mut reader = BufReader::new(stream);
         loop {
-            let payload = match read_frame(&mut stream) {
-                Ok(payload) => {
-                    idle = Duration::ZERO;
-                    payload
-                }
-                Err(WireError::Closed) => return,
-                Err(WireError::Io(kind))
-                    if kind == std::io::ErrorKind::WouldBlock
-                        || kind == std::io::ErrorKind::TimedOut =>
-                {
-                    if self.state.lock().expect("server state poisoned").shutdown {
-                        return;
-                    }
-                    idle += READ_POLL;
-                    if idle >= self.config.idle_timeout {
-                        // Half-open or abandoned: no frame, not even a
-                        // ping, within the idle deadline.
+            let mut frame = RequestReader {
+                inner: self,
+                reader: &mut reader,
+                stalled: Duration::ZERO,
+            };
+            let payload = match read_frame(&mut frame) {
+                Ok(payload) => payload,
+                Err(WireError::Io(kind)) if is_timeout(kind) => {
+                    // Half-open, abandoned or stalled mid-frame: no whole
+                    // frame within the idle deadline. A timeout while
+                    // shutting down is not a reap.
+                    if !self.is_shutdown() {
                         self.observe(ObsEvent::ConnIdleReaped {
                             timeout_ms: self.config.idle_timeout.as_millis() as u64,
                         });
-                        return;
                     }
-                    continue;
+                    return;
                 }
                 Err(err) => {
                     // Hostile or damaged peer: answer typed, then hang up.
+                    // A clean close between frames is no violation.
                     if is_protocol_violation(&err) {
                         let _ = self.send_response(
-                            &mut stream,
+                            reader.get_mut(),
                             &Response::Error {
                                 detail: err.to_string(),
                             },
@@ -645,11 +665,12 @@ impl Inner {
                     return;
                 }
             };
+            let stream = reader.get_mut();
             let request = match Request::decode(&payload) {
                 Ok(request) => request,
                 Err(err) => {
                     let _ = self.send_response(
-                        &mut stream,
+                        stream,
                         &Response::Error {
                             detail: err.to_string(),
                         },
@@ -659,27 +680,25 @@ impl Inner {
             };
             let keep_going = match request {
                 Request::Submit { tenant, spec, idem } => {
-                    self.handle_submit(&mut stream, &tenant, spec, idem)
+                    self.handle_submit(stream, &tenant, spec, idem)
                 }
-                Request::Status { job } => self.send_response(&mut stream, &self.status(job)),
-                Request::Stats => self.send_response(&mut stream, &Response::Stats(self.stats())),
+                Request::Status { job } => self.send_response(stream, &self.status(job)),
+                Request::Stats => self.send_response(stream, &Response::Stats(self.stats())),
                 Request::Drain => {
                     let pending = {
                         let mut state = self.state.lock().expect("server state poisoned");
                         state.draining = true;
                         (state.queue.len() + state.running) as u64
                     };
-                    self.send_response(&mut stream, &Response::Draining { pending })
+                    self.send_response(stream, &Response::Draining { pending })
                 }
-                Request::Ping { nonce } => {
-                    self.send_response(&mut stream, &Response::Pong { nonce })
-                }
+                Request::Ping { nonce } => self.send_response(stream, &Response::Pong { nonce }),
                 Request::Cancel { job } => {
                     let ack = self.cancel_job(job);
-                    self.send_response(&mut stream, &ack)
+                    self.send_response(stream, &ack)
                 }
                 Request::ResumeStream { job, last_seen_seq } => {
-                    self.handle_resume(&mut stream, job, last_seen_seq)
+                    self.handle_resume(stream, job, last_seen_seq)
                 }
             };
             if !keep_going {
@@ -764,15 +783,21 @@ impl Inner {
     }
 
     /// Replays buffered updates, then follows the live subscription (or
-    /// the cached terminal) until the job's last word.
+    /// the cached terminal) until the job's last word. Whatever is queued
+    /// when the connection gets to write goes out as one batch: the
+    /// replay with any cached terminal, then each live response with
+    /// every response already queued behind it, up to the terminal.
     fn pump_attached(&self, stream: &mut TcpStream, job: u64, attached: Attached) -> bool {
+        let mut batch = Vec::new();
         for update in attached.replay {
-            if !self.send_response(stream, &Response::Trial(update)) {
-                return false;
-            }
+            push_frame(&mut batch, &Response::Trial(update));
         }
         if let Some(terminal) = attached.terminal {
-            return self.send_response(stream, &terminal);
+            push_frame(&mut batch, &terminal);
+            return self.send_frames(stream, &batch);
+        }
+        if !batch.is_empty() && !self.send_frames(stream, &batch) {
+            return false;
         }
         let rx = attached
             .live
@@ -780,11 +805,18 @@ impl Inner {
         loop {
             match rx.recv_timeout(READ_POLL) {
                 Ok(response) => {
-                    let last = matches!(
-                        response,
-                        Response::Done(_) | Response::Error { .. } | Response::Cancelled { .. }
-                    );
-                    if !self.send_response(stream, &response) {
+                    batch.clear();
+                    let mut next = Some(response);
+                    let mut last = false;
+                    while let Some(response) = next {
+                        last = matches!(
+                            response,
+                            Response::Done(_) | Response::Error { .. } | Response::Cancelled { .. }
+                        );
+                        push_frame(&mut batch, &response);
+                        next = if last { None } else { rx.try_recv().ok() };
+                    }
+                    if !self.send_frames(stream, &batch) {
                         // Client gone; the job keeps running and stays
                         // resumable via `resume_stream`.
                         return false;
@@ -794,7 +826,7 @@ impl Inner {
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.state.lock().expect("server state poisoned").shutdown {
+                    if self.is_shutdown() {
                         let _ = self.send_response(
                             stream,
                             &Response::Error {
@@ -819,6 +851,32 @@ impl Inner {
                     );
                     return false;
                 }
+            }
+        }
+    }
+}
+
+/// A connection's reader for one request frame. Read-poll timeouts are
+/// waited out, before the first byte and inside the frame alike, so a
+/// slowly delivered frame is not lost; the timeout surfaces once the
+/// server shuts down or nothing has arrived for the idle deadline.
+struct RequestReader<'a> {
+    inner: &'a Inner,
+    reader: &'a mut BufReader<TcpStream>,
+    stalled: Duration,
+}
+
+impl Read for RequestReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.reader.read(buf) {
+                Err(err) if is_timeout(err.kind()) => {
+                    self.stalled += READ_POLL;
+                    if self.stalled >= self.inner.config.idle_timeout || self.inner.is_shutdown() {
+                        return Err(err);
+                    }
+                }
+                result => return result,
             }
         }
     }
@@ -934,7 +992,7 @@ impl Server {
             std::thread::spawn(move || loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        if inner.state.lock().expect("server state poisoned").shutdown {
+                        if inner.is_shutdown() {
                             return;
                         }
                         let conn_inner = Arc::clone(&inner);
@@ -946,7 +1004,7 @@ impl Server {
                             .push(handle);
                     }
                     Err(_) => {
-                        if inner.state.lock().expect("server state poisoned").shutdown {
+                        if inner.is_shutdown() {
                             return;
                         }
                     }

@@ -228,13 +228,36 @@ pub fn read_frame(reader: &mut impl Read) -> Result<String, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
+
+    /// A reader that hands out one byte per `read`.
+    struct Trickle(Cursor<Vec<u8>>);
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let len = buf.len().min(1);
+            self.0.read(&mut buf[..len])
+        }
+    }
 
     #[test]
     fn roundtrip() {
         let frame = encode_frame("hello, campaign");
         let payload = read_frame(&mut Cursor::new(frame)).unwrap();
         assert_eq!(payload, "hello, campaign");
+    }
+
+    #[test]
+    fn buffered_reads_reassemble_one_byte_reads() {
+        // Back-to-back frames delivered one byte per `read` come out
+        // whole and in order, then as a clean close.
+        let payloads = ["first", "", "a longer third payload", "{\"re\": \"pong\"}"];
+        let bytes = payloads.iter().flat_map(|p| encode_frame(p)).collect();
+        let mut reader = BufReader::new(Trickle(Cursor::new(bytes)));
+        for payload in payloads {
+            assert_eq!(read_frame(&mut reader).unwrap(), payload);
+        }
+        assert_eq!(read_frame(&mut reader), Err(WireError::Closed));
     }
 
     #[test]

@@ -31,13 +31,24 @@ fn submit_streams_trials_then_done() {
     let server = Server::start(ServerConfig::new(&spool)).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
+    let spec = JobSpec::nv_core(32, 0xabc);
     let finished = client
-        .submit_and_wait("acme", &small_job(0xabc))
+        .submit_and_wait("acme", &spec)
         .unwrap()
         .expect("an idle server must admit");
-    assert_eq!(finished.report.trials, 4);
-    assert_eq!(finished.report.completed, 4);
-    assert_eq!(finished.updates.len(), 4, "every trial must stream");
+    assert_eq!(finished.report.trials, 32);
+    assert_eq!(finished.report.completed, 32);
+    // Updates may reach the socket in batches; each still arrives as its
+    // own frame, numbered in publish order.
+    let seqs: Vec<u64> = finished.updates.iter().map(|u| u.seq).collect();
+    assert_eq!(
+        seqs,
+        (1..=32).collect::<Vec<u64>>(),
+        "every trial must stream"
+    );
+    // Exactly one terminal: the next frame on the connection answers the
+    // next request, not a second `Done`.
+    assert_eq!(client.ping(0x0d0e).unwrap(), 0x0d0e);
     assert!(finished.report.digest != 0);
     assert!(
         finished.report.metrics_json.contains("\"trials\""),

@@ -8,8 +8,8 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use nv_serve::wire::encode_frame;
-use nv_serve::{Client, JobSpec, Request, Server, ServerConfig};
+use nv_serve::wire::{encode_frame, read_frame};
+use nv_serve::{Client, JobSpec, Request, Response, Server, ServerConfig};
 
 fn scratch_dir(name: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
@@ -103,6 +103,31 @@ fn heartbeats_keep_a_quiet_connection_alive_past_the_idle_deadline() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.submitted, 0);
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+#[test]
+fn a_frame_paused_past_the_read_poll_is_still_served() {
+    let spool = scratch_dir("slow_frame");
+    let server = Server::start(ServerConfig::new(&spool)).unwrap();
+
+    // Ten bytes of a ping frame, a pause longer than the server's 200 ms
+    // read poll, then the rest: the server must wait the frame out, not
+    // restart its read inside it.
+    let frame = encode_frame(&Request::Ping { nonce: 0x51_0e }.encode());
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&frame[..10]).unwrap();
+    std::thread::sleep(Duration::from_millis(350));
+    stream.write_all(&frame[10..]).unwrap();
+    let reply = Response::decode(&read_frame(&mut stream).unwrap()).unwrap();
+    assert_eq!(reply, Response::Pong { nonce: 0x51_0e });
+
+    drop(stream);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&spool);
 }
