@@ -12,6 +12,9 @@ cargo test -q --offline --workspace
 # The wide BTB-reference sweep and the run == step and decode/bundle
 # differentials gate every hot-path edit (about 12 s with the build).
 cargo test -q --release --offline -p nv-uarch --features proptest
+# The §2 experiments (Fig. 2-4 claims) gate the same hot-path edits; they
+# live in nv-bench, so the line above does not run them.
+cargo test -q --release --offline -p nv-bench --test paper_experiments
 # The wide kill/resume sweep over random campaign shapes gates the
 # campaign engine (about 0.1 s once built).
 cargo test -q --release --offline --features proptest --test resilience --test campaign

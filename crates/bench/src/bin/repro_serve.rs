@@ -38,7 +38,7 @@ fn main() {
     args.finish();
 
     let (nvs_jobs, clients, workers) = if smoke { (1, 4, 2) } else { (3, 8, 4) };
-    let (resume_jobs, resume_trials) = if smoke { (4, 8) } else { (6, 12) };
+    let (resume_jobs, resume_trials) = if smoke { (4, 2048) } else { (6, 4096) };
 
     println!(
         "# extraction-as-a-service load test: {small_jobs} small job(s), {nvs_jobs} NV-S job(s), \

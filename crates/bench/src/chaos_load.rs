@@ -22,16 +22,17 @@
 //! a pure function of [`CHAOS_SEED`] and the job population is a pure
 //! function of [`SEED_BASE`](crate::serve_load::SEED_BASE).
 
-use std::net::SocketAddr;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use nv_serve::{
     submit_resilient, ChaosPlan, ChaosProxy, Client, FaultCounts, JobSpec, ResilientOutcome,
     RetryPolicy, Server, ServerConfig,
 };
 
-use crate::serve_load::{baseline_digests, scratch_dir, small_job, spawn_server, SEED_BASE};
+use crate::serve_load::{
+    baseline_digests, scratch_dir, small_job, spawn_server, wait_until_running, SEED_BASE,
+};
 
 /// Master seed for every fault schedule in the suite.
 pub const CHAOS_SEED: u64 = 0xc4a0_5eed;
@@ -202,22 +203,6 @@ fn census(
     tally
 }
 
-/// Polls `job`'s status directly (not through the proxy) until it
-/// leaves the queue — the signal that the kill now lands mid-run.
-fn wait_until_running(addr: SocketAddr, job: u64, deadline: Duration) {
-    let started = Instant::now();
-    while started.elapsed() < deadline {
-        if let Ok(mut client) = Client::connect(addr) {
-            if let Ok((state, _)) = client.status(job) {
-                if state != "queued" && state != "unknown" {
-                    return;
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 /// One worker-count leg of the kill drill.
 #[derive(Clone, Debug)]
 pub struct ChaosResumeLeg {
@@ -306,9 +291,10 @@ pub fn kill_drill(
                 .collect();
 
             // Kill mid-load: as soon as the first job is off the queue
-            // and running, SIGKILL through to a restart and swing the
-            // proxy to the second life. Clients only ever see the proxy
-            // address; the crash is theirs to survive.
+            // and running (polled directly, not through the proxy),
+            // SIGKILL through to a restart and swing the proxy to the
+            // second life. Clients only ever see the proxy address; the
+            // crash is theirs to survive.
             wait_until_running(server_addr, 1, Duration::from_secs(120));
             child.kill().expect("SIGKILL child server");
             let _ = child.wait();

@@ -414,6 +414,23 @@ pub(crate) fn poll_status(addr: SocketAddr, job: u64, deadline: Duration) -> (St
     }
 }
 
+/// Polls `job`'s status, reconnecting per poll, until it leaves the
+/// queue: from then on a kill lands while the job runs, provided the job
+/// outlasts one status round trip.
+pub(crate) fn wait_until_running(addr: SocketAddr, job: u64, deadline: Duration) {
+    let started = Instant::now();
+    while started.elapsed() < deadline {
+        if let Ok(mut client) = Client::connect(addr) {
+            if let Ok((state, _)) = client.status(job) {
+                if state != "queued" && state != "unknown" {
+                    return;
+                }
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Kills a real child-process server mid-load at each worker count and
 /// proves the restart reproduces byte-identical digests.
 ///
@@ -440,8 +457,10 @@ pub fn resume_demo(
     for &workers in worker_counts {
         let spool = scratch_dir(&format!("serve_resume_w{workers}"));
 
-        // Load the first life and SIGKILL it once at least one job (but
-        // not, at these sizes, all of them) has finished.
+        // Load the first life and SIGKILL it once the last job has
+        // started. Jobs start in submission order, so the kill leaves that
+        // job in flight as long as it runs longer than a status round
+        // trip; `trials` must size the jobs for that.
         let (mut child, addr) = spawn_server(exe, &spool, workers);
         for spec in &specs {
             let mut client = Client::connect(addr).expect("connect submit client");
@@ -451,7 +470,7 @@ pub fn resume_demo(
             }
             // The connection drops here; the job keeps running server-side.
         }
-        let _ = poll_status(addr, 1, Duration::from_secs(120));
+        wait_until_running(addr, jobs as u64, Duration::from_secs(120));
         child.kill().expect("SIGKILL child server");
         let _ = child.wait();
 

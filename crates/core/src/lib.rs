@@ -69,4 +69,4 @@ pub use nv_core::NvCore;
 pub use nv_supervisor::{ExtractedTrace, NvSupervisor, StepMeasurement, SupervisorConfig};
 pub use nv_user::{NoiseModel, NvUser, SliceReading};
 pub use pw::{PwSpec, DEFAULT_ALIAS_DISTANCE};
-pub use rig::{AttackerRig, Resilience};
+pub use rig::{AttackerRig, Matches, Resilience};

@@ -104,11 +104,12 @@ impl NvCore {
         core.obs_enter(Phase::VictimFragment);
         fragment(core);
         core.obs_exit(Phase::VictimFragment);
-        self.rig.probe_robust(core, self.resilience, |core| {
+        let matched = self.rig.probe_robust(core, self.resilience, |core| {
             core.obs_enter(Phase::VictimFragment);
             fragment(core);
             core.obs_exit(Phase::VictimFragment);
-        })
+        })?;
+        Ok(matched.to_vec())
     }
 
     /// Direct access to the underlying rig.

@@ -17,6 +17,8 @@
 //!    the lowest matched window, then a final ±1-byte disambiguation that
 //!    exploits the lookup's `offset ≥ PC` lower bound (Takeaway 2).
 
+use std::ops::Range;
+
 use nv_isa::{VirtAddr, BLOCK_BYTES, PAGE_BYTES};
 use nv_obs::Phase;
 use nv_os::{Enclave, StepExit};
@@ -118,8 +120,8 @@ impl ExtractedTrace {
 struct StepState {
     page: u64,
     data_access: bool,
-    /// Matched 32-byte windows (page offsets of window starts).
-    matched_windows: Vec<u64>,
+    /// Lowest matched 32-byte window (page offset of its start).
+    lowest_window: Option<u64>,
     /// Current refinement interval (page offsets, half-open).
     lo: u64,
     hi: u64,
@@ -204,7 +206,7 @@ impl NvSupervisor {
             group += count;
         }
         for state in &mut steps {
-            if let Some(&window) = state.matched_windows.iter().min() {
+            if let Some(window) = state.lowest_window {
                 state.lo = window;
                 state.hi = window + BLOCK_BYTES;
             } else {
@@ -296,7 +298,7 @@ impl NvSupervisor {
                     steps.push(StepState {
                         page,
                         data_access: !step.data_pages.is_empty(),
-                        matched_windows: Vec::new(),
+                        lowest_window: None,
                         lo: 0,
                         hi: 0,
                         resolved: None,
@@ -333,19 +335,18 @@ impl NvSupervisor {
             enclave,
             core,
             steps,
-            |state| {
+            |state, schedule| {
                 let base = VirtAddr::new(state.page * PAGE_BYTES);
-                window_offsets
-                    .iter()
-                    .map(|&offset| {
-                        PwSpec::new(base.offset(offset), BLOCK_BYTES).expect("32B window is valid")
-                    })
-                    .collect()
+                schedule.extend(window_offsets.iter().map(|&offset| {
+                    PwSpec::new(base.offset(offset), BLOCK_BYTES).expect("32B window is valid")
+                }));
             },
             |state, pws, matched| {
                 for (pw, &hit) in pws.iter().zip(matched) {
                     if hit {
-                        state.matched_windows.push(pw.start().page_offset());
+                        let offset = pw.start().page_offset();
+                        state.lowest_window =
+                            Some(state.lowest_window.map_or(offset, |low| low.min(offset)));
                     }
                 }
             },
@@ -363,14 +364,16 @@ impl NvSupervisor {
             enclave,
             core,
             steps,
-            |state| {
+            |state, schedule| {
                 if state.lo == u64::MAX || state.hi - state.lo <= 2 {
-                    return Vec::new();
+                    return;
                 }
                 let mid = state.lo + (state.hi - state.lo) / 2;
                 let base = VirtAddr::new(state.page * PAGE_BYTES);
-                vec![PwSpec::from_range(base.offset(state.lo), base.offset(mid))
-                    .expect("refinement interval >= 2 bytes")]
+                schedule.push(
+                    PwSpec::from_range(base.offset(state.lo), base.offset(mid))
+                        .expect("refinement interval >= 2 bytes"),
+                );
             },
             |state, _pws, matched| {
                 if state.lo == u64::MAX || state.hi - state.lo <= 2 {
@@ -399,13 +402,13 @@ impl NvSupervisor {
             enclave,
             core,
             steps,
-            |state| {
+            |state, schedule| {
                 if state.lo == u64::MAX {
-                    return Vec::new();
+                    return;
                 }
                 let base = VirtAddr::new(state.page * PAGE_BYTES);
                 let x = base.offset(state.lo);
-                vec![PwSpec::from_range(x - 1u64, x.offset(1)).expect("2-byte window")]
+                schedule.push(PwSpec::from_range(x - 1u64, x.offset(1)).expect("2-byte window"));
             },
             |state, _pws, matched| {
                 if state.lo == u64::MAX {
@@ -420,8 +423,12 @@ impl NvSupervisor {
         )
     }
 
-    /// The shared per-run driver. With `resilience.votes == 1` this is one
-    /// pass of [`NvSupervisor::stepped_run_once`]; with more votes the
+    /// The shared per-run driver. `choose_pws` appends a step's windows
+    /// (in address order, possibly none) to the run's schedule, which is
+    /// built once: `steps` stays immutable while votes are tallied, so
+    /// every re-execution probes the identical windows. With
+    /// `resilience.votes == 1` this is one pass of
+    /// [`NvSupervisor::stepped_run_once`]; with more votes the
     /// deterministic enclave is re-executed `votes` times — the whole run
     /// is NV-S's voting unit, since a probe pass consumes its own signal
     /// and only a fresh re-execution can reproduce it — and each step's
@@ -433,37 +440,32 @@ impl NvSupervisor {
         enclave: &mut Enclave,
         core: &mut Core,
         steps: &mut [StepState],
-        choose_pws: impl Fn(&StepState) -> Vec<PwSpec>,
+        choose_pws: impl Fn(&StepState, &mut Vec<PwSpec>),
         mut record: impl FnMut(&mut StepState, &[PwSpec], &[bool]),
     ) -> Result<(), AttackError> {
         let resilience = self.config.resilience;
         let votes = resilience.votes.max(1);
-        // `steps` stays immutable while votes are tallied, so every
-        // re-execution probes the identical window schedule.
-        let mut tallies: Vec<Vec<usize>> = steps
-            .iter()
-            .map(|state| vec![0usize; choose_pws(state).len()])
-            .collect();
+        let schedule = Schedule::build(steps, choose_pws);
+        // Per scheduled window, its matches over the completed runs, and
+        // over the current run: merged only if the run completes, since a
+        // failed run's partial measurements must not influence the vote.
+        let mut tally = vec![0usize; schedule.pws.len()];
+        let mut run_tally = vec![0usize; schedule.pws.len()];
         let mut completed = 0usize;
         let mut retries_left = resilience.retry_budget;
         let mut retries_used = 0usize;
         while completed < votes {
-            // Per-run tally, merged only if the run completes: a failed
-            // run's partial measurements must not influence the vote.
-            let mut run_tally: Vec<Vec<usize>> =
-                tallies.iter().map(|t| vec![0usize; t.len()]).collect();
-            let result =
-                self.stepped_run_once(enclave, core, steps, &choose_pws, |index, matched| {
-                    for (count, &m) in run_tally[index].iter_mut().zip(matched) {
-                        *count += usize::from(m);
-                    }
-                });
+            run_tally.fill(0);
+            let result = self.stepped_run_once(enclave, core, &schedule, |index, matched| {
+                let counts = &mut run_tally[schedule.starts[index]..];
+                for (count, &m) in counts.iter_mut().zip(matched) {
+                    *count += usize::from(m);
+                }
+            });
             match result {
                 Ok(()) => {
-                    for (total, run) in tallies.iter_mut().zip(&run_tally) {
-                        for (t, r) in total.iter_mut().zip(run) {
-                            *t += r;
-                        }
+                    for (total, run) in tally.iter_mut().zip(&run_tally) {
+                        *total += run;
                     }
                     completed += 1;
                 }
@@ -490,32 +492,34 @@ impl NvSupervisor {
                 Err(other) => return Err(other),
             }
         }
+        let mut matched = Vec::new();
         for (index, state) in steps.iter_mut().enumerate() {
-            let pws = choose_pws(state);
-            if pws.is_empty() {
+            let window_range = schedule.range(index);
+            if window_range.is_empty() {
                 continue;
             }
-            let matched: Vec<bool> = tallies[index]
-                .iter()
-                .map(|&count| 2 * count > votes)
-                .collect();
-            record(state, &pws, &matched);
+            matched.clear();
+            matched.extend(
+                tally[window_range.clone()]
+                    .iter()
+                    .map(|&count| 2 * count > votes),
+            );
+            record(state, &schedule.pws[window_range], &matched);
         }
         Ok(())
     }
 
     /// One extraction run: reset, controlled channel, and per step: take
-    /// the windows from `choose_pws`, step, probe, and report the matches
-    /// to `observe` (keyed by step index). A rig is built and calibrated
-    /// only when the windows change; otherwise the previous step's probe
-    /// is this step's prime, and an unmeasured step in between costs one
-    /// re-prime.
+    /// the step's windows from `schedule`, step, probe, and report the
+    /// matches to `observe` (keyed by step index). A rig is built and
+    /// calibrated only when the windows change; otherwise the previous
+    /// step's probe is this step's prime, and an unmeasured step in
+    /// between costs one re-prime.
     fn stepped_run_once(
         &self,
         enclave: &mut Enclave,
         core: &mut Core,
-        steps: &[StepState],
-        choose_pws: impl Fn(&StepState) -> Vec<PwSpec>,
+        schedule: &Schedule,
         mut observe: impl FnMut(usize, &[bool]),
     ) -> Result<(), AttackError> {
         enclave.reset();
@@ -523,36 +527,37 @@ impl NvSupervisor {
         for &page in &pages {
             enclave.page_table_mut().set_executable(page, false);
         }
-        let mut rig_cache: Option<(Vec<PwSpec>, AttackerRig)> = None;
-        // Whether the victim stepped unmeasured since the cached rig's last
-        // probe, which may have disturbed the entries it primed.
+        let mut rig: Option<AttackerRig> = None;
+        // Whether the victim stepped unmeasured since the rig's last probe,
+        // which may have disturbed the entries it primed.
         let mut stale = false;
         // Page faults are absorbed inside the step loop below, so each outer
         // iteration retires exactly one instruction and `index` can double as
         // the step budget counter.
         for index in 0..self.config.max_steps {
             AttackError::check_deadline(core)?;
-            if index >= steps.len() {
+            if index >= schedule.steps() {
                 return Ok(());
             }
-            let state = &steps[index];
-            let pws = choose_pws(state);
+            let pws = &schedule.pws[schedule.range(index)];
             // Prime: calibrating a new rig primes it, and so does the
             // previous step's probe, unless the victim stepped unmeasured
-            // since.
+            // since. The windows are scheduled in address order, the order
+            // a rig keeps them in, so the rig's own windows say whether it
+            // can be reused.
             if pws.is_empty() {
                 stale = true;
             } else {
-                match rig_cache.as_mut() {
-                    Some((cached, rig)) if *cached == pws => {
+                match rig.as_mut() {
+                    Some(rig) if rig.pws() == pws => {
                         if stale {
                             rig.prime(core)?;
                         }
                     }
                     _ => {
-                        let mut rig = AttackerRig::new(pws.clone())?;
-                        rig.calibrate(core)?;
-                        rig_cache = Some((pws.clone(), rig));
+                        let mut fresh = AttackerRig::new(pws.to_vec())?;
+                        fresh.calibrate(core)?;
+                        rig = Some(fresh);
                     }
                 }
                 stale = false;
@@ -567,7 +572,7 @@ impl NvSupervisor {
                         }
                         // A fault may have disturbed nothing, but re-prime
                         // for hygiene before the real step.
-                        if let Some((_, rig)) = rig_cache.as_mut() {
+                        if let Some(rig) = rig.as_mut() {
                             if !pws.is_empty() {
                                 rig.prime(core)?;
                             }
@@ -581,7 +586,7 @@ impl NvSupervisor {
             };
             // Probe.
             if !pws.is_empty() {
-                if let Some((_, rig)) = rig_cache.as_mut() {
+                if let Some(rig) = rig.as_mut() {
                     let matched = rig.probe(core)?;
                     observe(index, &matched);
                 }
@@ -596,6 +601,38 @@ impl NvSupervisor {
                 limit: self.config.max_steps as u64,
             },
         ))
+    }
+}
+
+/// One extraction run's window schedule: every step's windows back to
+/// back in one buffer, step `i`'s at `starts[i]..starts[i + 1]`.
+#[derive(Debug)]
+struct Schedule {
+    pws: Vec<PwSpec>,
+    starts: Vec<usize>,
+}
+
+impl Schedule {
+    /// The schedule `choose_pws` appends for each of `steps`.
+    fn build(steps: &[StepState], choose_pws: impl Fn(&StepState, &mut Vec<PwSpec>)) -> Self {
+        let mut pws = Vec::new();
+        let mut starts = Vec::with_capacity(steps.len() + 1);
+        starts.push(0);
+        for state in steps {
+            choose_pws(state, &mut pws);
+            starts.push(pws.len());
+        }
+        Schedule { pws, starts }
+    }
+
+    /// Steps scheduled.
+    fn steps(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Where step `index`'s windows lie in [`Schedule::pws`].
+    fn range(&self, index: usize) -> Range<usize> {
+        self.starts[index]..self.starts[index + 1]
     }
 }
 
@@ -707,18 +744,16 @@ mod tests {
         assert_eq!(steps.len(), 4);
         steps[1].lo = u64::MAX;
         let window = PwSpec::new(base.offset(64), BLOCK_BYTES).unwrap();
+        let schedule = Schedule::build(&steps, |state, schedule| {
+            if state.lo != u64::MAX {
+                schedule.push(window);
+            }
+        });
         let mut matched = vec![None; steps.len()];
         supervisor
-            .stepped_run_once(
-                &mut enclave,
-                &mut core,
-                &steps,
-                |state| match state.lo {
-                    u64::MAX => Vec::new(),
-                    _ => vec![window],
-                },
-                |index, hits| matched[index] = Some(hits[0]),
-            )
+            .stepped_run_once(&mut enclave, &mut core, &schedule, |index, hits| {
+                matched[index] = Some(hits[0]);
+            })
             .unwrap();
         assert_eq!(matched[1], None);
         assert_eq!(matched[2], Some(false), "{matched:?}");

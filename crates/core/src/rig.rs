@@ -8,8 +8,18 @@
 //! the chain once (allocating one BTB entry per snippet jump); probing
 //! executes it again and reads, for every jump, the elapsed-cycles field
 //! of the *following* LBR record — the §2.3 measurement.
+//!
+//! The harness that drives the chain has a fixed layout, about 1 MiB past
+//! the last snippet: a `call` into the first snippet, the checkpoint
+//! `syscall`, `hlt`, then one 5-byte trampoline per window (a `jmp` to
+//! the next snippet; the last window's is a `ret`). Every branch target
+//! is therefore known before a byte is emitted, and the rig is assembled
+//! with precomputed displacements instead of labels.
 
-use nv_isa::{Assembler, Program, VirtAddr};
+use std::fmt;
+use std::ops::Deref;
+
+use nv_isa::{Assembler, Inst, IsaError, Program, VirtAddr};
 use nv_obs::Phase;
 use nv_uarch::{Core, LbrRecord, Machine, RunExit, LBR_DEPTH};
 
@@ -26,6 +36,11 @@ const CHECKPOINT: u8 = 2;
 /// calibration widens it per window by the spread it observes
 /// ([`AttackerRig::calibrate`]).
 const BASE_MARGIN: u64 = 4;
+
+/// Most windows one rig can chain: each produces two LBR records per pass
+/// (its jump and its trampoline), and the earliest must still be resident
+/// when the probe reads the LBR back.
+const MAX_WINDOWS: usize = LBR_DEPTH / 2;
 
 /// Calibration passes for [`AttackerRig::calibrate`]. In a quiet system
 /// every pass measures the same values, so the derived thresholds
@@ -74,6 +89,45 @@ impl Default for Resilience {
     /// [`Resilience::none`].
     fn default() -> Self {
         Resilience::none()
+    }
+}
+
+/// Per-window probe decisions of one rig, in address order: whether each
+/// window's entry was disturbed. A fixed array sized to the LBR's window
+/// budget, so taking a probe allocates nothing; it dereferences to
+/// `[bool]`, and `.to_vec()` gives an owned copy.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Matches {
+    len: usize,
+    /// Decisions in `hits[..len]`; the rest stay `false`.
+    hits: [bool; MAX_WINDOWS],
+}
+
+impl Matches {
+    /// `len` windows, decided by `hit(window)`.
+    fn from_fn(len: usize, mut hit: impl FnMut(usize) -> bool) -> Self {
+        let mut matches = Matches {
+            len,
+            hits: [false; MAX_WINDOWS],
+        };
+        for (window, slot) in matches.hits[..len].iter_mut().enumerate() {
+            *slot = hit(window);
+        }
+        matches
+    }
+}
+
+impl Deref for Matches {
+    type Target = [bool];
+
+    fn deref(&self) -> &[bool] {
+        &self.hits[..self.len]
+    }
+}
+
+impl fmt::Debug for Matches {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -133,7 +187,7 @@ impl WindowBaseline {
 ///
 /// core.run(&mut victim, 100); // victim runs on the same core
 /// let matched = rig.probe(&mut core)?;
-/// assert_eq!(matched, vec![true]);
+/// assert_eq!(*matched, [true]);
 /// # Ok(())
 /// # }
 /// ```
@@ -168,6 +222,12 @@ impl AttackerRig {
     /// monitored ranges (8 GiB for 33-bit tag cutoffs, 16 GiB for
     /// IceLake).
     ///
+    /// Each snippet is nops up to a jump ending on its window's last byte.
+    /// The harness sits at a fixed place past the last snippet with a
+    /// fixed layout (module docs): `call`, `syscall`, `hlt`, then 5-byte
+    /// trampolines. So every jump's displacement is computed directly, and
+    /// no label or fixup is involved.
+    ///
     /// # Errors
     ///
     /// * [`AttackError::OverlappingPws`] — monitored ranges overlap, so
@@ -186,14 +246,10 @@ impl AttackerRig {
         alias_distance: u64,
     ) -> Result<Self, AttackError> {
         assert!(!pws.is_empty(), "a rig needs at least one window");
-        // Each window produces two LBR records per pass (its jump and its
-        // trampoline); the earliest must still be resident when the probe
-        // reads the LBR back.
-        let max_windows = LBR_DEPTH / 2;
-        if pws.len() > max_windows {
+        if pws.len() > MAX_WINDOWS {
             return Err(AttackError::ChainExceedsLbr {
                 windows: pws.len(),
-                max: max_windows,
+                max: MAX_WINDOWS,
             });
         }
         pws.sort_by_key(PwSpec::start);
@@ -218,29 +274,7 @@ impl AttackerRig {
         if narrow && pws.len() > 1 {
             return Err(AttackError::OverlappingPws { at: pws[1].start() });
         }
-        let first_snippet = pws[0].start().offset(alias_distance);
-        let mut asm = Assembler::new(first_snippet);
-        let mut jmp_addrs = Vec::with_capacity(pws.len());
-        for (i, pw) in pws.iter().enumerate() {
-            let snippet_start = pw.start().offset(alias_distance);
-            let snippet_end = pw.end().offset(alias_distance);
-            asm.org(snippet_start).map_err(AttackError::Snippet)?;
-            asm.label(format!("pw{i}"));
-            // Fill with nops, then a jump whose last byte is end-1.
-            let jmp_len = if pw.len() >= 5 { 5 } else { 2 };
-            asm.pad_to(snippet_end - jmp_len);
-            let jmp_addr = if jmp_len == 5 {
-                asm.jmp32(&format!("tramp{i}"))
-            } else {
-                asm.jmp8("fin_local")
-            };
-            jmp_addrs.push(jmp_addr);
-        }
-        if narrow {
-            // Continuation directly after the single snippet.
-            asm.label("fin_local");
-            asm.ret();
-        }
+        let snippet = |window: usize| pws[window].start().offset(alias_distance);
         // Harness, ~1 MiB past the snippets: far enough that victims of
         // ordinary size cannot alias it. The extra 0x2000 shifts the
         // harness by 256 BTB sets (bits 5..14), so the harness's own call
@@ -251,21 +285,42 @@ impl AttackerRig {
             .expect("nonempty")
             .end()
             .offset(alias_distance + 0x10_2000);
+        let trampolines = harness.offset(
+            (Inst::CallRel32(0).len() + Inst::Syscall(CHECKPOINT).len() + Inst::Halt.len()) as u64,
+        );
+        // Each trampoline is a 5-byte `jmp rel32` (the last one's `ret`
+        // comes last, so its length moves nothing).
+        let trampoline = |window: usize| trampolines.offset(5 * window as u64);
+
+        let mut asm = Assembler::new(snippet(0));
+        let mut jmp_addrs = Vec::with_capacity(pws.len());
+        for (window, pw) in pws.iter().enumerate() {
+            asm.org(snippet(window)).map_err(AttackError::Snippet)?;
+            // Fill with nops, then a jump whose last byte is end-1.
+            let snippet_end = pw.end().offset(alias_distance);
+            let jmp = if narrow {
+                asm.pad_to(snippet_end - 2u64);
+                // Onto the `ret` right after it.
+                Inst::JmpRel8(0)
+            } else {
+                asm.pad_to(snippet_end - 5u64);
+                Inst::JmpRel32(rel32(asm.here(), trampoline(window))?)
+            };
+            jmp_addrs.push(asm.emit(jmp));
+        }
+        if narrow {
+            asm.ret();
+        }
         asm.org(harness).map_err(AttackError::Snippet)?;
-        let entry = asm.label("entry");
-        asm.entry_here();
-        asm.call("pw0");
+        let entry = asm.entry_here();
+        asm.emit(Inst::CallRel32(rel32(harness, snippet(0))?));
         asm.syscall(CHECKPOINT);
         asm.halt();
         if !narrow {
-            for i in 0..pws.len() {
-                asm.label(format!("tramp{i}"));
-                if i + 1 == pws.len() {
-                    asm.ret();
-                } else {
-                    asm.jmp32(&format!("pw{}", i + 1));
-                }
+            for window in 1..pws.len() {
+                asm.emit(Inst::JmpRel32(rel32(asm.here(), snippet(window))?));
             }
+            asm.ret();
         }
 
         let program: Program = asm.finish().map_err(AttackError::Snippet)?;
@@ -376,30 +431,27 @@ impl AttackerRig {
     /// * [`AttackError::NotCalibrated`] — call
     ///   [`AttackerRig::calibrate`] first;
     /// * [`AttackError::ProbeFailed`] — the chain did not complete.
-    pub fn probe(&mut self, core: &mut Core) -> Result<Vec<bool>, AttackError> {
+    pub fn probe(&mut self, core: &mut Core) -> Result<Matches, AttackError> {
         core.obs_enter(Phase::Probe);
         let result = self.probe_inner(core);
         core.obs_exit(Phase::Probe);
         result
     }
 
-    fn probe_inner(&mut self, core: &mut Core) -> Result<Vec<bool>, AttackError> {
+    fn probe_inner(&mut self, core: &mut Core) -> Result<Matches, AttackError> {
         if self.baseline.is_empty() {
             return Err(AttackError::NotCalibrated);
         }
         self.measured_pass(core)?;
-        Ok(self
-            .elapsed
-            .iter()
-            .zip(&self.baseline)
-            .map(|(&(own, next), base)| {
-                // A *stolen* prediction squashes while the window's own
-                // snippet fetches (its jump's record); a *deallocated*
-                // entry makes the jump itself miss, delaying what follows
-                // (the trampoline's record).
-                own > base.own_floor + base.own_margin || next > base.next_floor + base.next_margin
-            })
-            .collect())
+        Ok(Matches::from_fn(self.pws.len(), |window| {
+            let (own, next) = self.elapsed[window];
+            let base = &self.baseline[window];
+            // A *stolen* prediction squashes while the window's own
+            // snippet fetches (its jump's record); a *deallocated* entry
+            // makes the jump itself miss, delaying what follows (the
+            // trampoline's record).
+            own > base.own_floor + base.own_margin || next > base.next_floor + base.next_margin
+        }))
     }
 
     /// Noise-robust probe: takes `resilience.votes` probe passes, calling
@@ -426,12 +478,12 @@ impl AttackerRig {
         core: &mut Core,
         resilience: Resilience,
         mut replay: impl FnMut(&mut Core),
-    ) -> Result<Vec<bool>, AttackError> {
+    ) -> Result<Matches, AttackError> {
         assert!(resilience.votes >= 1, "majority voting needs >= 1 vote");
         if self.baseline.is_empty() {
             return Err(AttackError::NotCalibrated);
         }
-        let mut counts = vec![0usize; self.pws.len()];
+        let mut counts = [0usize; MAX_WINDOWS];
         let mut retries_left = resilience.retry_budget;
         let mut retries_used = 0usize;
         for vote in 0..resilience.votes {
@@ -442,7 +494,7 @@ impl AttackerRig {
             loop {
                 match self.probe(core) {
                     Ok(matches) => {
-                        for (count, matched) in counts.iter_mut().zip(&matches) {
+                        for (count, matched) in counts.iter_mut().zip(matches.iter()) {
                             *count += usize::from(*matched);
                         }
                         break;
@@ -474,10 +526,9 @@ impl AttackerRig {
             }
             core.obs_exit(Phase::Vote);
         }
-        Ok(counts
-            .into_iter()
-            .map(|count| 2 * count > resilience.votes)
-            .collect())
+        Ok(Matches::from_fn(self.pws.len(), |window| {
+            2 * counts[window] > resilience.votes
+        }))
     }
 
     /// One chain execution with LBR measurement: leaves in `self.elapsed`,
@@ -516,6 +567,22 @@ impl AttackerRig {
             _ => Err(AttackError::probe_failed(ProbeFailureCause::ChainWedged)),
         }
     }
+}
+
+/// The displacement of a 5-byte `rel32` branch at `from` to `to`.
+///
+/// # Errors
+///
+/// [`IsaError::DisplacementOverflow`] (as [`AttackError::Snippet`]) when
+/// `to` is out of `rel32` reach.
+fn rel32(from: VirtAddr, to: VirtAddr) -> Result<i32, AttackError> {
+    i32::try_from(to - from.offset(5)).map_err(|_| {
+        AttackError::Snippet(IsaError::DisplacementOverflow {
+            from,
+            to,
+            width: 32,
+        })
+    })
 }
 
 /// Reads one measured pass back from the LBR records, given oldest to
@@ -587,7 +654,7 @@ mod tests {
         let mut core = core();
         rig.calibrate(&mut core).unwrap();
         for _ in 0..5 {
-            assert_eq!(rig.probe(&mut core).unwrap(), vec![false]);
+            assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![false]);
         }
     }
 
@@ -600,10 +667,10 @@ mod tests {
         let mut victim = victim_nops(0x40_0100, 20);
         core.reset_frontend();
         core.run(&mut victim, 100);
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![true]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![true]);
         // The probe re-primed: with no further victim activity the next
         // probe is quiet again.
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![false]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![false]);
     }
 
     #[test]
@@ -616,7 +683,7 @@ mod tests {
         let mut victim = victim_nops(0x40_0110, 20);
         core.reset_frontend();
         core.run(&mut victim, 100);
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![false]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![false]);
     }
 
     #[test]
@@ -638,7 +705,7 @@ mod tests {
         let mut victim = Machine::new(asm.finish().unwrap());
         core.reset_frontend();
         core.run(&mut victim, 100);
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![true]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![true]);
     }
 
     #[test]
@@ -655,7 +722,10 @@ mod tests {
         let mut victim = victim_nops(0x40_0140, 16);
         core.reset_frontend();
         core.run(&mut victim, 100);
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![false, true, false]);
+        assert_eq!(
+            rig.probe(&mut core).unwrap().to_vec(),
+            vec![false, true, false]
+        );
     }
 
     #[test]
@@ -681,7 +751,11 @@ mod tests {
                 core.reset_frontend();
                 core.run(&mut victim, 100);
             }
-            assert_eq!(rig.probe(&mut core).unwrap(), expected, "{touched:?}");
+            assert_eq!(
+                rig.probe(&mut core).unwrap().to_vec(),
+                expected,
+                "{touched:?}"
+            );
         }
     }
 
@@ -695,7 +769,7 @@ mod tests {
         let mut victim = victim_nops(0x40_0100, 12);
         core.reset_frontend();
         core.run(&mut victim, 100);
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![true]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![true]);
     }
 
     #[test]
@@ -710,7 +784,7 @@ mod tests {
         let mut victim = victim_nops(0x40_0106, 12); // starts past 0x40_0105
         core.reset_frontend();
         core.run(&mut victim, 100);
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![false]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![false]);
     }
 
     #[test]
@@ -746,7 +820,7 @@ mod tests {
         rig.calibrate(&mut core).unwrap();
         core.btb_mut().indirect_predictor_barrier();
         assert_eq!(
-            rig.probe(&mut core).unwrap(),
+            rig.probe(&mut core).unwrap().to_vec(),
             vec![false],
             "entries survive"
         );
@@ -755,7 +829,7 @@ mod tests {
         core.run(&mut victim, 100);
         core.btb_mut().indirect_predictor_barrier();
         assert_eq!(
-            rig.probe(&mut core).unwrap(),
+            rig.probe(&mut core).unwrap().to_vec(),
             vec![true],
             "signal survives the barrier too"
         );
@@ -781,7 +855,7 @@ mod tests {
         let mut rig = AttackerRig::new(vec![pw]).unwrap();
         rig.calibrate(&mut core).unwrap();
         let quiet_matches = (0..20)
-            .filter(|_| rig.probe(&mut core).unwrap() == vec![true])
+            .filter(|_| rig.probe(&mut core).unwrap().to_vec() == vec![true])
             .count();
         assert!(
             quiet_matches <= 4,
@@ -791,7 +865,7 @@ mod tests {
         let mut victim = victim_nops(0x40_0100, 20);
         core.reset_frontend();
         core.run(&mut victim, 100);
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![true]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![true]);
     }
 
     #[test]
@@ -806,7 +880,8 @@ mod tests {
         let mut replayed = false;
         let result = rig
             .probe_robust(&mut core, Resilience::none(), |_| replayed = true)
-            .unwrap();
+            .unwrap()
+            .to_vec();
         assert_eq!(result, vec![true]);
         assert!(!replayed, "a single vote never replays");
     }
@@ -833,13 +908,15 @@ mod tests {
                 core.reset_frontend();
                 core.run(&mut victim, 100);
             })
-            .unwrap();
+            .unwrap()
+            .to_vec();
         assert_eq!(result, vec![true]);
         assert_eq!(replays, 4);
         // Quiet afterwards (nothing replayed the victim since).
         let quiet = rig
             .probe_robust(&mut core, Resilience::paper_robust(), |_| {})
-            .unwrap();
+            .unwrap()
+            .to_vec();
         assert_eq!(quiet, vec![false]);
     }
 
@@ -897,7 +974,7 @@ mod tests {
             }
         ));
         rig.entry = saved;
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![false]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![false]);
     }
 
     #[test]
@@ -932,7 +1009,96 @@ mod tests {
         // Without victim activity the probe *looks* like a match — the
         // attacker cannot distinguish a flush from a victim touch, i.e.
         // the channel is jammed.
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![true]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![true]);
+    }
+
+    /// The label-based rig builder the direct-displacement one replaced,
+    /// kept as the oracle for [`AttackerRig::with_alias_distance`]: takes
+    /// `pws` already validated and sorted, and returns the assembled
+    /// program, its entry and the snippet jump addresses.
+    fn label_built(
+        pws: &[PwSpec],
+        alias_distance: u64,
+    ) -> Result<(Program, VirtAddr, Vec<VirtAddr>), AttackError> {
+        let narrow = pws.iter().any(|pw| pw.len() < 5);
+        let mut asm = Assembler::new(pws[0].start().offset(alias_distance));
+        let mut jmp_addrs = Vec::new();
+        for (i, pw) in pws.iter().enumerate() {
+            let snippet_start = pw.start().offset(alias_distance);
+            let snippet_end = pw.end().offset(alias_distance);
+            asm.org(snippet_start).map_err(AttackError::Snippet)?;
+            asm.label(format!("pw{i}"));
+            let jmp_len = if pw.len() >= 5 { 5 } else { 2 };
+            asm.pad_to(snippet_end - jmp_len);
+            jmp_addrs.push(if jmp_len == 5 {
+                asm.jmp32(&format!("tramp{i}"))
+            } else {
+                asm.jmp8("fin_local")
+            });
+        }
+        if narrow {
+            asm.label("fin_local");
+            asm.ret();
+        }
+        let harness = pws[pws.len() - 1].end().offset(alias_distance + 0x10_2000);
+        asm.org(harness).map_err(AttackError::Snippet)?;
+        let entry = asm.label("entry");
+        asm.entry_here();
+        asm.call("pw0");
+        asm.syscall(CHECKPOINT);
+        asm.halt();
+        if !narrow {
+            for i in 0..pws.len() {
+                asm.label(format!("tramp{i}"));
+                if i + 1 == pws.len() {
+                    asm.ret();
+                } else {
+                    asm.jmp32(&format!("pw{}", i + 1));
+                }
+            }
+        }
+        let program = asm.finish().map_err(AttackError::Snippet)?;
+        Ok((program, entry, jmp_addrs))
+    }
+
+    #[test]
+    fn rig_programs_match_the_label_built_oracle() {
+        let window = |start: u64, len: u64| PwSpec::new(VirtAddr::new(start), len).unwrap();
+        let sweep: Vec<PwSpec> = (0..8).map(|w| window(0x40_0000 + 32 * w, 32)).collect();
+        let cases: Vec<(Vec<PwSpec>, u64)> = vec![
+            (sweep.clone(), DEFAULT_ALIAS_DISTANCE),
+            (vec![window(0x40_0130, 16)], DEFAULT_ALIAS_DISTANCE),
+            (vec![window(0x40_0104, 2)], DEFAULT_ALIAS_DISTANCE),
+            (
+                vec![window(0x41_2f00, 8), window(0x40_0120, 16)],
+                DEFAULT_ALIAS_DISTANCE,
+            ),
+            (sweep, 1 << 34),
+            // A snippet jump out of `rel32` reach of its trampoline.
+            (
+                vec![window(0x40_0000, 16), window(0xc040_0000, 16)],
+                DEFAULT_ALIAS_DISTANCE,
+            ),
+        ];
+        for (pws, alias) in cases {
+            let mut sorted = pws.clone();
+            sorted.sort_by_key(PwSpec::start);
+            let want = label_built(&sorted, alias).map(|(program, entry, jmps)| {
+                let inst_starts = program.inst_starts().to_vec();
+                (program.segments().to_vec(), inst_starts, entry, jmps)
+            });
+            let got = AttackerRig::with_alias_distance(pws.clone(), alias).map(|rig| {
+                let program = rig.machine.program();
+                let inst_starts = program.inst_starts().to_vec();
+                (
+                    program.segments().to_vec(),
+                    inst_starts,
+                    rig.entry,
+                    rig.jmp_addrs,
+                )
+            });
+            assert_eq!(got, want, "{pws:?} at alias distance {alias:#x}");
+        }
     }
 
     /// LBR records `from -> from + 1`, each with `elapsed` equal to its

@@ -21,7 +21,7 @@ use crate::decoded::{BundleVerdict, DecodedImage, SegmentHint};
 use crate::events::SquashCause;
 use crate::exec::{execute, ArchState, ControlOutcome, ExecOutcome, MemAccess};
 use crate::lbr::Lbr;
-use crate::mem::{Bus, Memory, SpecOverlay};
+use crate::mem::{Bus, Memory, SparePages, SpecOverlay};
 use crate::perturb::{PerturbState, Perturbation};
 
 /// A program plus its architectural state and data memory: everything that
@@ -267,6 +267,13 @@ pub struct Core {
     btb: Btb,
     lbr: Lbr,
     rsb: VecDeque<VirtAddr>,
+    /// The RSB as it stood before the current speculation, restored by
+    /// swapping it back in (squash recovery). Kept between speculations
+    /// so that neither the save nor the restore allocates once warm.
+    rsb_saved: VecDeque<VirtAddr>,
+    /// Page buffers of the last speculation's memory overlay, reused by
+    /// the next one.
+    spec_pages: SparePages,
     cycle: u64,
     pw: PwState,
     /// The decode tables the fetch path used last.
@@ -311,6 +318,8 @@ impl Core {
             btb: Btb::new(config.geometry),
             lbr: Lbr::new(),
             rsb: VecDeque::new(),
+            rsb_saved: VecDeque::new(),
+            spec_pages: SparePages::default(),
             cycle: 0,
             pw: PwState::CLOSED,
             segment_hint: SegmentHint::default(),
@@ -611,8 +620,9 @@ impl Core {
 
     fn speculate_with<const OBSERVE: bool>(&mut self, machine: &Machine, depth: usize) {
         let mut state = machine.state().clone();
-        let mut overlay = SpecOverlay::new(machine.memory());
-        let saved_rsb = self.rsb.clone();
+        let spare = std::mem::take(&mut self.spec_pages);
+        let mut overlay = SpecOverlay::reusing(machine.memory(), spare);
+        self.rsb_saved.clone_from(&self.rsb);
         let saved_cycle = self.cycle;
         for _ in 0..depth {
             match self.exec_one::<true, OBSERVE, _>(machine.image(), &mut state, &mut overlay) {
@@ -625,7 +635,8 @@ impl Core {
                 Err(_) => break,
             }
         }
-        self.rsb = saved_rsb;
+        self.spec_pages = overlay.into_spare();
+        std::mem::swap(&mut self.rsb, &mut self.rsb_saved);
         self.cycle = saved_cycle;
     }
 
@@ -1168,6 +1179,60 @@ mod tests {
         assert_eq!(rets.len(), 2, "two returns recorded");
         assert!(rets[0].mispredicted, "cold return mispredicts");
         assert!(!rets[1].mispredicted, "warm return is BTB+RSB predicted");
+    }
+
+    #[test]
+    fn speculation_leaves_the_rsb_as_it_was() {
+        // A loop over a 20-deep call chain d0 -> ... -> d19 -> leaf, each
+        // level `call next; ret` in its own 32-byte block, so that no
+        // level's fetch disturbs another's BTB entries. One whole round
+        // warms the BTB for every call and return; in the second, eighteen
+        // calls fill the 16-deep RSB and wrap it, and running ahead from
+        // d17 then speculates three more (wrapping) calls and nine returns.
+        const LEVELS: usize = 20;
+        let mut machine = assemble(|asm| {
+            asm.label("top");
+            asm.call("d0");
+            asm.jmp32("top");
+            for level in 0..LEVELS {
+                asm.align(32);
+                asm.label(format!("d{level}"));
+                if level + 1 == LEVELS {
+                    asm.call("leaf");
+                } else {
+                    asm.call(&format!("d{}", level + 1));
+                }
+                asm.ret();
+            }
+            asm.align(32);
+            asm.label("leaf");
+            asm.ret();
+        });
+        let mut core = fresh_core();
+        let round = 2 * (LEVELS + 1) + 1;
+        for _ in 0..round + 18 {
+            core.step(&mut machine);
+        }
+        assert_eq!(machine.pc(), machine.program().symbol("d17").unwrap());
+        assert_eq!(core.rsb.len(), core.config.rsb_depth, "the RSB is full");
+        let before = core.rsb.clone();
+        core.speculate_ahead(&machine, 12);
+        assert_eq!(core.stats().speculated, 12);
+        assert_eq!(core.rsb, before, "squash recovery restores the RSB");
+
+        // The restored RSB still supplies every return's target: each of
+        // the next nine returns is predicted when it retires.
+        core.lbr_mut().clear();
+        for _ in 0..12 {
+            core.step(&mut machine);
+        }
+        let rets: Vec<_> = core
+            .lbr()
+            .iter()
+            .filter(|r| machine.program().decode_at(r.from).unwrap() == Inst::Ret)
+            .collect();
+        assert_eq!(rets.len(), 9);
+        assert!(rets.iter().all(|r| !r.mispredicted), "{rets:?}");
     }
 
     #[test]

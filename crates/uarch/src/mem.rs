@@ -109,38 +109,95 @@ pub trait Bus {
 #[derive(Debug)]
 pub struct SpecOverlay<'a> {
     base: &'a Memory,
-    /// Pages speculation has written, each copied from `base` on its first
-    /// write. `base` is borrowed immutably for the overlay's lifetime, so
-    /// a copy never goes stale.
-    pages: PageMap,
+    /// Pages speculation has written, in `pages[..dirty]`, each copied from
+    /// `base` on its first write. `base` is borrowed immutably for the
+    /// overlay's lifetime, so a copy never goes stale. The buffers past
+    /// `dirty` are spares, filled before any new page is allocated.
+    pages: Vec<(u64, Box<Page>)>,
+    dirty: usize,
+}
+
+/// The page buffers of an ended [`SpecOverlay`], kept for the next one to
+/// copy pages into: warm speculation allocates nothing. Scratch space,
+/// not state, so a clone starts empty.
+#[derive(Default)]
+pub(crate) struct SparePages(Vec<(u64, Box<Page>)>);
+
+impl Clone for SparePages {
+    fn clone(&self) -> Self {
+        SparePages::default()
+    }
+}
+
+impl std::fmt::Debug for SparePages {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("SparePages").field(&self.0.len()).finish()
+    }
 }
 
 impl<'a> SpecOverlay<'a> {
     /// Creates an overlay over `base`.
     pub fn new(base: &'a Memory) -> Self {
+        SpecOverlay::reusing(base, SparePages::default())
+    }
+
+    /// Creates an overlay over `base` that copies pages into `spare`'s
+    /// buffers before allocating new ones.
+    pub(crate) fn reusing(base: &'a Memory, spare: SparePages) -> Self {
         SpecOverlay {
             base,
-            pages: PageMap::default(),
+            pages: spare.0,
+            dirty: 0,
         }
+    }
+
+    /// Ends the speculation: discards its writes and hands back the page
+    /// buffers for [`SpecOverlay::reusing`].
+    pub(crate) fn into_spare(self) -> SparePages {
+        SparePages(self.pages)
     }
 
     /// Number of pages holding speculative writes.
     pub fn dirty_pages(&self) -> usize {
-        self.pages.len()
+        self.dirty
+    }
+
+    /// The overlay's copy of page `number`, if speculation wrote to it.
+    fn page(&self, number: u64) -> Option<&Page> {
+        self.pages[..self.dirty]
+            .iter()
+            .find(|(n, _)| *n == number)
+            .map(|(_, page)| &**page)
     }
 
     /// The overlay's private copy of page `number`, made on first use.
     fn page_mut(&mut self, number: u64) -> &mut Page {
-        let base = self.base;
-        self.pages
-            .entry(number)
-            .or_insert_with(|| Box::new(base.page(number).map_or([0; PAGE], |page| *page)))
+        let index = match self.pages[..self.dirty]
+            .iter()
+            .position(|(n, _)| *n == number)
+        {
+            Some(index) => index,
+            None => {
+                if self.dirty == self.pages.len() {
+                    self.pages.push((number, Box::new([0; PAGE])));
+                }
+                let (slot, page) = &mut self.pages[self.dirty];
+                *slot = number;
+                match self.base.page(number) {
+                    Some(base) => page.copy_from_slice(base),
+                    None => page.fill(0),
+                }
+                self.dirty += 1;
+                self.dirty - 1
+            }
+        };
+        &mut self.pages[index].1
     }
 }
 
 impl Bus for SpecOverlay<'_> {
     fn read_u8(&self, addr: VirtAddr) -> u8 {
-        match self.pages.get(&addr.page_number()) {
+        match self.page(addr.page_number()) {
             Some(page) => page[addr.page_offset() as usize],
             None => self.base.read_u8(addr),
         }
@@ -152,7 +209,7 @@ impl Bus for SpecOverlay<'_> {
 
     fn read_u64(&self, addr: VirtAddr) -> u64 {
         match word_in_page(addr) {
-            Some((number, offset)) => match self.pages.get(&number) {
+            Some((number, offset)) => match self.page(number) {
                 Some(page) => load_word(page, offset),
                 None => self.base.read_u64(addr),
             },
@@ -360,10 +417,13 @@ mod tests {
     #[test]
     fn overlay_u64_access_equals_byte_access_at_every_page_offset() {
         let value = 0xfedc_ba98_7654_3210;
+        // `word` reuses the page buffers the previous address's overlay
+        // wrote into; `bytes` always starts fresh, so any stale byte shows.
+        let mut spare = SparePages::default();
         for addr in word_addresses() {
             let base = patterned(addr);
             let pristine = base.clone();
-            let mut word = SpecOverlay::new(&base);
+            let mut word = SpecOverlay::reusing(&base, spare);
             let mut bytes = SpecOverlay::new(&base);
             // Reads fall through to the base until a page is written...
             assert_eq!(
@@ -394,7 +454,8 @@ mod tests {
             assert_eq!(word.read_u64(addr), value, "{addr}");
             assert_eq!(read_u64_bytewise(&word, addr), value, "{addr}");
             assert_eq!(word.dirty_pages(), bytes.dirty_pages(), "{addr}");
-            drop((word, bytes));
+            spare = word.into_spare();
+            drop(bytes);
             assert_eq!(
                 base, pristine,
                 "speculative writes reached the base at {addr}"

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rig.calibrate(&mut core)?;
 
     // Quiet probe: nothing ran, nothing matched.
-    assert_eq!(rig.probe(&mut core)?, vec![false]);
+    assert_eq!(rig.probe(&mut core)?.to_vec(), vec![false]);
     println!("quiet probe          -> no match (as expected)");
 
     // The victim executes its nops: each one that aliases the primed
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(matched, "the victim's nops must leak their addresses");
 
     // And the probe re-primed the channel for the next measurement.
-    assert_eq!(rig.probe(&mut core)?, vec![false]);
+    assert_eq!(rig.probe(&mut core)?.to_vec(), vec![false]);
     println!("follow-up probe      -> no match (channel re-armed)");
 
     println!("\nNightVision observed *non-control-transfer* instructions through the BTB.");

@@ -86,7 +86,7 @@ fn probe_rearms() {
         core.reset_frontend();
         core.run(&mut victim, 10_000);
         let _ = rig.probe(&mut core).unwrap();
-        assert_eq!(rig.probe(&mut core).unwrap(), vec![false]);
+        assert_eq!(rig.probe(&mut core).unwrap().to_vec(), vec![false]);
     }
 }
 

@@ -57,7 +57,7 @@ fn attack_works_on_every_cpu_generation() {
         core.reset_frontend();
         core.run(&mut victim, 100);
         assert_eq!(
-            rig.probe(&mut core).unwrap(),
+            rig.probe(&mut core).unwrap().to_vec(),
             vec![true],
             "{generation:?} must leak at distance {distance:#x}"
         );
@@ -84,7 +84,7 @@ fn wrong_alias_distance_fails_on_icelake() {
     core.reset_frontend();
     core.run(&mut victim, 100);
     assert_eq!(
-        rig.probe(&mut core).unwrap(),
+        rig.probe(&mut core).unwrap().to_vec(),
         vec![false],
         "8 GiB aliasing must not work on IceLake"
     );
