@@ -185,6 +185,9 @@ impl NvSupervisor {
         let recon = self.reconnaissance(enclave, core);
         core.obs_exit(Phase::Custom("recon"));
         let mut steps = recon?;
+        // One rig for the whole extraction, built once per window shape and
+        // moved between steps ([`AttackerRig::retarget`]).
+        let mut rig = None;
 
         // Pass 1 (Fig. 10): sweep 128 disjoint 32-byte windows, N per run.
         // N is capped by the LBR budget (two records per window per probe).
@@ -200,7 +203,7 @@ impl NvSupervisor {
                 .map(|w| w as u64 * BLOCK_BYTES)
                 .collect();
             core.obs_enter(Phase::Custom("extraction_run"));
-            let sweep = self.window_sweep_run(enclave, core, &mut steps, &offsets);
+            let sweep = self.window_sweep_run(enclave, core, &mut rig, &mut steps, &offsets);
             core.obs_exit(Phase::Custom("extraction_run"));
             sweep?;
             group += count;
@@ -221,7 +224,7 @@ impl NvSupervisor {
         let halvings = (BLOCK_BYTES as f64).log2() as u32 - 1; // 32 -> 2
         for _ in 0..halvings {
             core.obs_enter(Phase::Custom("extraction_run"));
-            let refine = self.refine_run(enclave, core, &mut steps);
+            let refine = self.refine_run(enclave, core, &mut rig, &mut steps);
             core.obs_exit(Phase::Custom("extraction_run"));
             refine?;
         }
@@ -229,7 +232,7 @@ impl NvSupervisor {
         // Final run: disambiguate the two remaining candidate bytes using
         // the lookup lower bound.
         core.obs_enter(Phase::Custom("extraction_run"));
-        let last = self.final_byte_run(enclave, core, &mut steps);
+        let last = self.final_byte_run(enclave, core, &mut rig, &mut steps);
         core.obs_exit(Phase::Custom("extraction_run"));
         last?;
 
@@ -328,12 +331,14 @@ impl NvSupervisor {
         &self,
         enclave: &mut Enclave,
         core: &mut Core,
+        rig: &mut Option<AttackerRig>,
         steps: &mut [StepState],
         window_offsets: &[u64],
     ) -> Result<(), AttackError> {
         self.stepped_run(
             enclave,
             core,
+            rig,
             steps,
             |state, schedule| {
                 let base = VirtAddr::new(state.page * PAGE_BYTES);
@@ -358,11 +363,13 @@ impl NvSupervisor {
         &self,
         enclave: &mut Enclave,
         core: &mut Core,
+        rig: &mut Option<AttackerRig>,
         steps: &mut [StepState],
     ) -> Result<(), AttackError> {
         self.stepped_run(
             enclave,
             core,
+            rig,
             steps,
             |state, schedule| {
                 if state.lo == u64::MAX || state.hi - state.lo <= 2 {
@@ -396,11 +403,13 @@ impl NvSupervisor {
         &self,
         enclave: &mut Enclave,
         core: &mut Core,
+        rig: &mut Option<AttackerRig>,
         steps: &mut [StepState],
     ) -> Result<(), AttackError> {
         self.stepped_run(
             enclave,
             core,
+            rig,
             steps,
             |state, schedule| {
                 if state.lo == u64::MAX {
@@ -434,11 +443,13 @@ impl NvSupervisor {
     /// and only a fresh re-execution can reproduce it — and each step's
     /// window matches are decided by majority before a single `record`
     /// pass applies them. Runs that fail with a probe error are re-run up
-    /// to `resilience.retry_budget` times.
+    /// to `resilience.retry_budget` times. `rig` is the extraction's rig,
+    /// lent to every run; a run that fails drops it.
     fn stepped_run(
         &self,
         enclave: &mut Enclave,
         core: &mut Core,
+        rig: &mut Option<AttackerRig>,
         steps: &mut [StepState],
         choose_pws: impl Fn(&StepState, &mut Vec<PwSpec>),
         mut record: impl FnMut(&mut StepState, &[PwSpec], &[bool]),
@@ -456,12 +467,17 @@ impl NvSupervisor {
         let mut retries_used = 0usize;
         while completed < votes {
             run_tally.fill(0);
-            let result = self.stepped_run_once(enclave, core, &schedule, |index, matched| {
+            let result = self.stepped_run_once(enclave, core, rig, &schedule, |index, matched| {
                 let counts = &mut run_tally[schedule.starts[index]..];
                 for (count, &m) in counts.iter_mut().zip(matched) {
                     *count += usize::from(m);
                 }
             });
+            if result.is_err() {
+                // A failed pass may leave the rig's stack unbalanced, so
+                // the next run builds afresh.
+                *rig = None;
+            }
             match result {
                 Ok(()) => {
                     for (total, run) in tally.iter_mut().zip(&run_tally) {
@@ -511,14 +527,17 @@ impl NvSupervisor {
 
     /// One extraction run: reset, controlled channel, and per step: take
     /// the step's windows from `schedule`, step, probe, and report the
-    /// matches to `observe` (keyed by step index). A rig is built and
-    /// calibrated only when the windows change; otherwise the previous
-    /// step's probe is this step's prime, and an unmeasured step in
-    /// between costs one re-prime.
+    /// matches to `observe` (keyed by step index). The rig is calibrated
+    /// at the run's first measured step and whenever the windows change;
+    /// otherwise the previous step's probe is this step's prime, and an
+    /// unmeasured step in between costs one re-prime. `rig` carries the
+    /// rig from run to run: new windows of its shape move it
+    /// ([`AttackerRig::retarget`]), so a rig is built once per shape.
     fn stepped_run_once(
         &self,
         enclave: &mut Enclave,
         core: &mut Core,
+        rig: &mut Option<AttackerRig>,
         schedule: &Schedule,
         mut observe: impl FnMut(usize, &[bool]),
     ) -> Result<(), AttackError> {
@@ -527,7 +546,8 @@ impl NvSupervisor {
         for &page in &pages {
             enclave.page_table_mut().set_executable(page, false);
         }
-        let mut rig: Option<AttackerRig> = None;
+        // Whether `rig` has been calibrated in this run.
+        let mut calibrated = false;
         // Whether the victim stepped unmeasured since the rig's last probe,
         // which may have disturbed the entries it primed.
         let mut stale = false;
@@ -540,24 +560,30 @@ impl NvSupervisor {
                 return Ok(());
             }
             let pws = &schedule.pws[schedule.range(index)];
-            // Prime: calibrating a new rig primes it, and so does the
-            // previous step's probe, unless the victim stepped unmeasured
-            // since. The windows are scheduled in address order, the order
-            // a rig keeps them in, so the rig's own windows say whether it
-            // can be reused.
+            // Prime: calibrating primes the rig, and so does the previous
+            // step's probe, unless the victim stepped unmeasured since.
+            // Each run calibrates afresh at its first measured step. The
+            // windows are scheduled in address order, the order a rig keeps
+            // them in, so the rig's own windows say whether it can stay as
+            // it is or move ([`AttackerRig::retarget`]).
             if pws.is_empty() {
                 stale = true;
             } else {
-                match rig.as_mut() {
-                    Some(rig) if rig.pws() == pws => {
+                match rig {
+                    Some(rig) if calibrated && rig.pws() == pws => {
                         if stale {
                             rig.prime(core)?;
                         }
                     }
                     _ => {
-                        let mut fresh = AttackerRig::new(pws.to_vec())?;
-                        fresh.calibrate(core)?;
-                        rig = Some(fresh);
+                        let reused = rig
+                            .as_mut()
+                            .is_some_and(|rig| rig.pws() == pws || rig.retarget(pws));
+                        if !reused {
+                            *rig = Some(AttackerRig::new(pws.to_vec())?);
+                        }
+                        rig.as_mut().expect("just set").calibrate(core)?;
+                        calibrated = true;
                     }
                 }
                 stale = false;
@@ -722,6 +748,32 @@ mod tests {
     }
 
     #[test]
+    fn every_run_calibrates_at_its_first_measured_step() {
+        // Three votes re-run each schedule back to back, so a sweep run's
+        // next vote starts on the windows its last step probed. The rig is
+        // carried over but still calibrated afresh: three times the counts
+        // of the single-vote extraction above.
+        let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
+        straight_line(&mut asm);
+        let mut enclave = Enclave::new(asm.finish().unwrap());
+        let mut core = Core::new(UarchConfig::default());
+        core.attach_obs(Recorder::new(0));
+        let supervisor = NvSupervisor::new(SupervisorConfig {
+            resilience: Resilience {
+                votes: 3,
+                retry_budget: 0,
+            },
+            ..SupervisorConfig::default()
+        });
+        let trace = supervisor.extract_trace(&mut enclave, &mut core).unwrap();
+        assert_eq!(trace.len(), 6);
+        let metrics = core.detach_obs().unwrap().metrics();
+        let spans = |phase| metrics.phase(phase).map_or(0, |stats| stats.count);
+        assert_eq!(spans(Phase::Calibrate), 3 * (16 + (1 + 2 + 4 + 6) + 6));
+        assert_eq!(spans(Phase::Probe), 3 * 21 * 6);
+    }
+
+    #[test]
     fn an_unmeasured_step_is_not_reported_by_the_next_probe() {
         // Step 1 runs inside the monitored window [64, 96) but measures
         // nothing; step 2 runs far from it. Step 2's probe must read
@@ -751,9 +803,15 @@ mod tests {
         });
         let mut matched = vec![None; steps.len()];
         supervisor
-            .stepped_run_once(&mut enclave, &mut core, &schedule, |index, hits| {
-                matched[index] = Some(hits[0]);
-            })
+            .stepped_run_once(
+                &mut enclave,
+                &mut core,
+                &mut None,
+                &schedule,
+                |index, hits| {
+                    matched[index] = Some(hits[0]);
+                },
+            )
             .unwrap();
         assert_eq!(matched[1], None);
         assert_eq!(matched[2], Some(false), "{matched:?}");

@@ -15,6 +15,15 @@
 //! the next snippet; the last window's is a `ret`). Every branch target
 //! is therefore known before a byte is emitted, and the rig is assembled
 //! with precomputed displacements instead of labels.
+//!
+//! A rig's bytes depend only on its *shape*: the window count, the window
+//! lengths and the gaps between windows. Every displacement it encodes
+//! (snippet jump to trampoline, trampoline to next snippet, the harness
+//! `call`, a narrow window's `jmp8` to its `ret`) is the difference of two
+//! addresses that are each a window bound plus a constant, so both move
+//! together when every window moves by the same distance. A rig is
+//! therefore built once per shape and moved to each new position of it
+//! ([`AttackerRig::retarget`]) rather than rebuilt.
 
 use std::fmt;
 use std::ops::Deref;
@@ -335,6 +344,38 @@ impl AttackerRig {
         })
     }
 
+    /// Moves the rig onto `pws` if they are its own windows shifted by one
+    /// distance (same count, lengths and gaps, in address order), and
+    /// returns whether it did; otherwise leaves the rig untouched.
+    ///
+    /// A moved rig equals the one [`AttackerRig::with_alias_distance`]
+    /// would build on `pws` at this rig's alias distance, byte for byte:
+    /// by the shape invariant (module docs) no displacement changes, so no
+    /// byte is patched, and the pre-decoded image only moves
+    /// ([`Machine::rebase`]). Like a fresh rig it is uncalibrated: call
+    /// [`AttackerRig::calibrate`] before probing. Allocates nothing.
+    pub fn retarget(&mut self, pws: &[PwSpec]) -> bool {
+        let Some(first) = pws.first() else {
+            return false;
+        };
+        let shift = first.start() - self.pws[0].start();
+        let same_shape = pws.len() == self.pws.len()
+            && pws.iter().zip(&self.pws).all(|(new, old)| {
+                new.len() == old.len() && new.start() == old.start().offset_signed(shift)
+            });
+        if !same_shape {
+            return false;
+        }
+        self.machine.rebase(shift);
+        self.entry = self.entry.offset_signed(shift);
+        for jmp in &mut self.jmp_addrs {
+            *jmp = jmp.offset_signed(shift);
+        }
+        self.pws.copy_from_slice(pws);
+        self.baseline.clear();
+        true
+    }
+
     /// The monitored windows, sorted by address.
     pub fn pws(&self) -> &[PwSpec] {
         &self.pws
@@ -609,21 +650,17 @@ fn read_windows(
     jmps: &[VirtAddr],
     elapsed: &mut Vec<(u64, u64)>,
 ) -> Result<(), (usize, ProbeFailureCause)> {
-    let len = older.len() + newer.len();
-    let at = |i: usize| older.get(i).unwrap_or_else(|| &newer[i - older.len()]);
     elapsed.clear();
-    let mut cursor = 0;
+    // The records not yet searched: those after the previous window's jump.
+    let mut rest = older.iter().chain(newer);
     for (window, &jmp) in jmps.iter().enumerate() {
         let missing = (window, ProbeFailureCause::LbrRecordMissing);
-        let idx = (cursor..len).find(|&i| at(i).from == jmp).ok_or(missing)?;
-        if (idx + 1..len).any(|i| at(i).from == jmp) {
+        let own = rest.find(|record| record.from == jmp).ok_or(missing)?;
+        if rest.clone().any(|record| record.from == jmp) {
             return Err((window, ProbeFailureCause::LbrRecordAmbiguous));
         }
-        if idx + 1 == len {
-            return Err(missing);
-        }
-        elapsed.push((at(idx).elapsed, at(idx + 1).elapsed));
-        cursor = idx + 1;
+        let next = rest.clone().next().ok_or(missing)?;
+        elapsed.push((own.elapsed, next.elapsed));
     }
     Ok(())
 }
@@ -632,7 +669,7 @@ fn read_windows(
 mod tests {
     use super::*;
     use nv_isa::Assembler;
-    use nv_uarch::{Machine, UarchConfig};
+    use nv_uarch::{CoreStats, DecodedImage, Machine, UarchConfig};
 
     fn core() -> Core {
         Core::new(UarchConfig::default())
@@ -1098,6 +1135,116 @@ mod tests {
                 )
             });
             assert_eq!(got, want, "{pws:?} at alias distance {alias:#x}");
+        }
+    }
+
+    /// What a rig is made of: its pre-decoded image (program, tables and
+    /// bundle masks), entry, jump addresses and windows.
+    fn parts(rig: &AttackerRig) -> (DecodedImage, VirtAddr, Vec<VirtAddr>, Vec<PwSpec>) {
+        (
+            rig.machine.image().clone(),
+            rig.entry,
+            rig.jmp_addrs.clone(),
+            rig.pws.clone(),
+        )
+    }
+
+    /// Calibrates `rig` on a fresh core, runs a victim through the start
+    /// of its first window's block, and probes: everything the core
+    /// observed.
+    fn calibrate_and_probe(rig: &mut AttackerRig) -> (Matches, CoreStats, u64, Vec<LbrRecord>) {
+        let mut core = core();
+        rig.calibrate(&mut core).unwrap();
+        let mut victim = victim_nops(rig.pws[0].start().block_base().value(), 40);
+        core.reset_frontend();
+        core.run(&mut victim, 100);
+        let matched = rig.probe(&mut core).unwrap();
+        let (older, newer) = core.lbr().as_slices();
+        (matched, core.stats(), core.cycle(), [older, newer].concat())
+    }
+
+    #[test]
+    fn a_retargeted_rig_equals_a_fresh_build() {
+        let window = |start: u64, len: u64| PwSpec::new(VirtAddr::new(start), len).unwrap();
+        let sweep = |base: u64| {
+            (0..8)
+                .map(|w| window(base + 32 * w, 32))
+                .collect::<Vec<_>>()
+        };
+        let mut cases: Vec<(Vec<PwSpec>, Vec<PwSpec>, u64)> = vec![
+            (sweep(0x40_0000), sweep(0x40_0100), DEFAULT_ALIAS_DISTANCE),
+            (sweep(0x40_0000), sweep(0x40_1000), DEFAULT_ALIAS_DISTANCE),
+            (
+                vec![window(0x40_0120, 16), window(0x40_0180, 8)],
+                vec![window(0x40_2f03, 16), window(0x40_2f63, 8)],
+                DEFAULT_ALIAS_DISTANCE,
+            ),
+            (sweep(0x40_0000), sweep(0x40_0e00), 1 << 34),
+            (
+                vec![window(0x40_0130, 16)],
+                vec![window(0x40_0127, 16)],
+                1 << 34,
+            ),
+        ];
+        // One window of each refinement length, moved by whole blocks and
+        // by odd distances, up and down.
+        for len in [16, 8, 4, 2] {
+            for shift in [0x40, -0x1000, 0x13, -0x25, 0x1001] {
+                let from: u64 = 0x40_4130;
+                let to = from.checked_add_signed(shift).unwrap();
+                cases.push((
+                    vec![window(from, len)],
+                    vec![window(to, len)],
+                    DEFAULT_ALIAS_DISTANCE,
+                ));
+            }
+        }
+        for (from, to, alias) in cases {
+            let mut moved = AttackerRig::with_alias_distance(from.clone(), alias).unwrap();
+            // Move a rig that has been used, as NV-S does.
+            calibrate_and_probe(&mut moved);
+            assert!(moved.retarget(&to), "{from:?} -> {to:?}");
+            let mut fresh = AttackerRig::with_alias_distance(to.clone(), alias).unwrap();
+            assert!(parts(&moved) == parts(&fresh), "{from:?} -> {to:?}");
+            assert!(matches!(
+                moved.probe(&mut core()),
+                Err(AttackError::NotCalibrated)
+            ));
+            let observed = calibrate_and_probe(&mut moved);
+            assert!(observed.0[0], "the victim reaches the first window");
+            assert_eq!(
+                observed,
+                calibrate_and_probe(&mut fresh),
+                "{from:?} -> {to:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn retarget_refuses_another_shape_and_leaves_the_rig_alone() {
+        let window = |start: u64, len: u64| PwSpec::new(VirtAddr::new(start), len).unwrap();
+        let mut rig = AttackerRig::new(vec![window(0x40_0120, 16), window(0x40_0180, 8)]).unwrap();
+        rig.calibrate(&mut core()).unwrap();
+        let before = parts(&rig);
+        for other in [
+            // Another window count.
+            vec![window(0x40_1120, 16)],
+            vec![
+                window(0x40_1120, 16),
+                window(0x40_1180, 8),
+                window(0x40_11c0, 8),
+            ],
+            // Another length.
+            vec![window(0x40_1120, 16), window(0x40_1180, 16)],
+            // Another gap.
+            vec![window(0x40_1120, 16), window(0x40_1190, 8)],
+            // The same windows out of address order.
+            vec![window(0x40_0180, 8), window(0x40_0120, 16)],
+            Vec::new(),
+        ] {
+            assert!(!rig.retarget(&other), "{other:?}");
+            assert!(parts(&rig) == before, "{other:?}");
+            assert!(!rig.baseline.is_empty(), "{other:?}: still calibrated");
         }
     }
 

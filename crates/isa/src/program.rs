@@ -166,6 +166,26 @@ impl Program {
         self.entry = Some(entry);
     }
 
+    /// Moves the whole program `shift` bytes (wrapping, like all address
+    /// arithmetic): segment bases, symbols, instruction starts and the
+    /// entry. The code bytes stay as they are, so only position-independent
+    /// code (relative branches, as the attacker rigs use) keeps its meaning.
+    /// The caller keeps the moved image clear of the address-space wrap, so
+    /// segments stay in order.
+    pub fn rebase(&mut self, shift: i64) {
+        for segment in &mut self.segments {
+            segment.base = segment.base.offset_signed(shift);
+        }
+        for addr in self
+            .symbols
+            .values_mut()
+            .chain(&mut self.inst_starts)
+            .chain(&mut self.entry)
+        {
+            *addr = addr.offset_signed(shift);
+        }
+    }
+
     /// The code segments, sorted by base address.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
@@ -408,6 +428,28 @@ mod tests {
             first.merge(&second),
             Err(IsaError::DuplicateLabel(_))
         ));
+    }
+
+    #[test]
+    fn rebase_equals_assembling_at_the_new_base() {
+        // Relative branches, a symbol, a second segment and an explicit
+        // entry: everything but the bytes moves.
+        let build = |base: u64| {
+            let mut asm = Assembler::new(VirtAddr::new(base));
+            asm.label("f");
+            asm.nop();
+            asm.jmp32("g");
+            asm.org(VirtAddr::new(base + 0x1000)).unwrap();
+            asm.label("g");
+            asm.entry_here();
+            asm.ret();
+            asm.finish().unwrap()
+        };
+        let mut program = build(0x1000);
+        program.rebase(0x2_0000_0023);
+        assert_eq!(program, build(0x2_0000_1023));
+        program.rebase(-0x2_0000_0023);
+        assert_eq!(program, build(0x1000));
     }
 
     #[test]

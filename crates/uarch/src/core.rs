@@ -82,10 +82,15 @@ impl Machine {
         &self.image
     }
 
-    /// A shareable handle to the pre-decoded image (for building sibling
-    /// machines of the same program without re-decoding).
-    pub fn shared_image(&self) -> Arc<DecodedImage> {
-        Arc::clone(&self.image)
+    /// Moves the program `shift` bytes ([`Program::rebase`]) without
+    /// decoding it again: the decoded instructions hold relative
+    /// displacements, and only the fetch-bundle summaries are re-walked,
+    /// when `shift` is not a whole number of 32-byte blocks. The image is
+    /// copied first if other machines share it; otherwise nothing is
+    /// allocated. The architectural state and data memory stay as they
+    /// are: the caller points the PC into the moved code.
+    pub fn rebase(&mut self, shift: i64) {
+        Arc::make_mut(&mut self.image).rebase(shift);
     }
 
     /// Architectural state.
@@ -101,11 +106,6 @@ impl Machine {
     /// Data memory.
     pub fn memory(&self) -> &Memory {
         &self.memory
-    }
-
-    /// Mutable data memory.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.memory
     }
 
     /// Current PC (shorthand for `state().pc()`).
@@ -371,11 +371,6 @@ impl Core {
         self.cancel = Some(flag);
     }
 
-    /// Detaches the cancellation flag; the core stops being cancellable.
-    pub fn clear_cancel_flag(&mut self) {
-        self.cancel = None;
-    }
-
     /// Whether an attached cancellation flag has been raised. Always
     /// `false` when no flag is attached, so uncancellable runs behave
     /// exactly as before.
@@ -449,11 +444,6 @@ impl Core {
     /// The attached recorder, if any.
     pub fn obs(&self) -> Option<&Recorder> {
         self.obs.as_deref()
-    }
-
-    /// Mutable access to the attached recorder, if any.
-    pub fn obs_mut(&mut self) -> Option<&mut Recorder> {
-        self.obs.as_deref_mut()
     }
 
     /// Opens an attack-phase span at the current cycle (no-op when no

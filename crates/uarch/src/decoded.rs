@@ -2,23 +2,28 @@
 //!
 //! Every modelled fetch, bundle verification and speculative overshoot
 //! needs the instruction at some (frequently misaligned) byte address, and
-//! program images never change after load. [`DecodedImage`] therefore
-//! decodes **every byte offset of every code segment once**, at
+//! an image may move whole, but its bytes never change. [`DecodedImage`]
+//! therefore decodes **every byte offset of every code segment once**, at
 //! construction, into a dense per-segment table — exactly the structure a
 //! hardware pre-decode/µop cache maintains for hot fetch lines. Each entry
 //! also summarizes the fetch bundle starting at its byte, so the front end
-//! checks a BTB prediction against the decoded bundle without walking it. Misaligned addresses are included on purpose: the attack
-//! depends on hardware-style decode at non-instruction-start bytes (a BTB
-//! false hit steers fetch mid-instruction, §2.2), so the cache must answer
-//! those queries too, with the same result the raw byte decoder gives.
+//! checks a BTB prediction against the decoded bundle without walking it.
+//! Misaligned addresses are included on purpose: the attack depends on
+//! hardware-style decode at non-instruction-start bytes (a BTB false hit
+//! steers fetch mid-instruction, §2.2), so the cache must answer those
+//! queries too, with the same result the raw byte decoder gives.
 //!
 //! Eager per-byte decode is sound because [`Program`] segments are
 //! immutable once assembled: nothing in the simulator writes code bytes.
-//! Images that *differ* (e.g. CFR victims re-randomized per seed) are
-//! different `Program` values and get their own fresh `DecodedImage` when
-//! their [`crate::Machine`] is built.
+//! Moving an image ([`DecodedImage::rebase`], used by the attacker rigs
+//! that follow their windows across a page) keeps every decoded
+//! instruction, since branch displacements are relative, and re-walks only
+//! the bundle summaries when the block offsets change. Images that
+//! *differ* (e.g. CFR victims re-randomized per seed) are different
+//! `Program` values and get their own fresh `DecodedImage` when their
+//! [`crate::Machine`] is built.
 
-use nv_isa::{decode, Inst, IsaError, Program, VirtAddr, MAX_INST_BYTES};
+use nv_isa::{decode, Inst, IsaError, Program, VirtAddr, BLOCK_BYTES, MAX_INST_BYTES};
 
 /// Outcome of checking a BTB prediction against the decoded fetch bundle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -214,28 +219,49 @@ impl DecodedImage {
             })
             .collect();
         let mut image = DecodedImage { program, tables };
+        image.walk_bundles();
+        image
+    }
+
+    /// Moves the image `shift` bytes, as [`Program::rebase`] moves its
+    /// program. The decoded instructions stay valid: the bytes are the
+    /// same and every displacement an [`Inst`] holds is relative. Only the
+    /// bundle summaries depend on where a byte sits in its 32-byte block,
+    /// so they are re-walked, and only when `shift` is not a whole number
+    /// of blocks. Allocates nothing.
+    pub(crate) fn rebase(&mut self, shift: i64) {
+        self.program.rebase(shift);
+        for table in &mut self.tables {
+            table.base = table.base.offset_signed(shift);
+        }
+        if shift & (BLOCK_BYTES as i64 - 1) != 0 {
+            self.walk_bundles();
+        }
+    }
+
+    /// Summarizes the fetch bundle starting at every decoded byte.
+    fn walk_bundles(&mut self) {
         // Back to front: a bundle continues at the byte after its first
         // instruction, which is either later in the same table or in a
         // later one, so its summary is already final.
-        for t in (0..image.tables.len()).rev() {
-            for off in (0..image.tables[t].entries.len()).rev() {
-                let table = &image.tables[t];
+        for t in (0..self.tables.len()).rev() {
+            for off in (0..self.tables[t].entries.len()).rev() {
+                let table = &self.tables[t];
                 let Some(entry) = table.entries[off] else {
                     continue;
                 };
                 let next = off + entry.inst.len();
                 let rest = match table.entries.get(next) {
                     Some(slot) => slot.as_ref(),
-                    None => image.entry(table.base.offset(next as u64)),
+                    None => self.entry(table.base.offset(next as u64)),
                 };
                 let pc = table.base.offset(off as u64);
                 let bundle = Bundle::starting_with(pc, entry.inst, rest.map(|e| e.bundle));
-                if let Some(entry) = &mut image.tables[t].entries[off] {
+                if let Some(entry) = &mut self.tables[t].entries[off] {
                     entry.bundle = bundle;
                 }
             }
         }
-        image
     }
 
     /// The underlying (immutable) program image.
@@ -452,6 +478,27 @@ mod tests {
                 seen[BundleVerdict::BranchEndsThere as usize] > 0,
                 "no branch in {program}"
             );
+        }
+    }
+
+    #[test]
+    fn a_rebased_image_equals_the_image_of_the_moved_program() {
+        // Whole-block shifts keep every bundle summary; the others re-walk
+        // them, and negative ones move the image down.
+        let shifts = [32, -64, 0x2_0000_0000, 1, -1, 7, 0x1000 + 5, -0xfe3];
+        let mut rng = nv_rand::Rng::seed_from_u64(0x5eb_a5e);
+        for _ in 0..64 {
+            let program = crate::test_programs::arb_program(&mut rng);
+            let original = DecodedImage::new(program.clone());
+            for shift in shifts {
+                let mut moved = program.clone();
+                moved.rebase(shift);
+                let mut image = original.clone();
+                image.rebase(shift);
+                assert_eq!(image, DecodedImage::new(moved), "{program} moved {shift}");
+                image.rebase(-shift);
+                assert_eq!(image, original, "{program} moved {shift} and back");
+            }
         }
     }
 

@@ -1,6 +1,7 @@
-//! The NV-S inner loop is allocation-free once warm: a rig's prime and
-//! probe, and the core's single step and speculative run-ahead over calls
-//! and returns, take nothing from the heap.
+//! The NV-S inner loop is allocation-free once warm: a rig's prime,
+//! probe, move and calibration, and the core's single step and speculative
+//! run-ahead over calls and returns, take nothing from the heap; a whole
+//! extraction builds one rig per window shape.
 //!
 //! A counting global allocator tallies every allocation made on the
 //! calling thread, so tests running in parallel do not disturb each other.
@@ -9,9 +10,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use nightvision::{AttackerRig, PwSpec};
+use nightvision::{AttackerRig, NvSupervisor, PwSpec};
 use nv_isa::{Assembler, VirtAddr};
+use nv_os::Enclave;
 use nv_uarch::{Core, Machine, UarchConfig};
+use nv_victims::{GcdVictim, VictimConfig};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -138,5 +141,56 @@ fn stepping_and_speculating_over_calls_allocate_nothing_once_warm() {
     assert_eq!(
         made, 0,
         "{made} allocations in {ROUNDS} step/speculate rounds"
+    );
+}
+
+#[test]
+fn moving_and_calibrating_a_rig_allocate_nothing_once_warm() {
+    // An NV-S refinement rig: one 8-byte window, moved from step to step
+    // by odd distances (so its bundle masks are re-walked) and by whole
+    // pages, and calibrated at each stop.
+    let window = |start: u64| [PwSpec::new(VirtAddr::new(start), 8).unwrap()];
+    let stops = [0x40_0130, 0x40_0113, 0x40_1113, 0x40_0f2d].map(window);
+    let mut rig = AttackerRig::new(stops[0].to_vec()).unwrap();
+    let mut core = Core::new(UarchConfig::default());
+
+    let mut round = |core: &mut Core| {
+        for stop in &stops {
+            assert!(rig.retarget(stop));
+            rig.calibrate(core).unwrap();
+        }
+    };
+    for _ in 0..10 {
+        round(&mut core);
+    }
+    let made = allocations(|| {
+        for _ in 0..ROUNDS {
+            round(&mut core);
+        }
+    });
+    assert_eq!(
+        made, 0,
+        "{made} allocations in {ROUNDS} move/calibrate rounds"
+    );
+}
+
+#[test]
+fn an_extraction_builds_one_rig_per_window_shape() {
+    // A paper-hardened GCD enclave of 68 steps. Rebuilding a rig whenever
+    // a step's windows move made 3,629 allocations per warm extraction;
+    // one rig per shape (the 8 x 32 B sweep, then 16, 8, 4 and 2 B) leaves
+    // about 500: the schedules, the step records and five rig builds.
+    let victim = GcdVictim::build(27, 12, &VictimConfig::paper_hardened()).unwrap();
+    let mut enclave = Enclave::new(victim.program().clone());
+    let mut core = Core::new(UarchConfig::default());
+    let supervisor = NvSupervisor::default();
+    let mut extract = || supervisor.extract_trace(&mut enclave, &mut core).unwrap();
+    let steps = extract().len();
+    let made = allocations(|| {
+        black_box(extract());
+    });
+    assert!(
+        made <= 1_000,
+        "{made} allocations in one extraction of {steps} steps"
     );
 }
