@@ -14,7 +14,7 @@
 use nightvision::{fingerprint, trace, NvSupervisor, SupervisorConfig};
 use nv_bench::default_gcd;
 use nv_isa::VirtAddr;
-use nv_os::{Enclave, StepExit};
+use nv_os::Enclave;
 use nv_uarch::{Core, UarchConfig};
 
 fn measure(uarch: UarchConfig) -> (f64, f64, usize) {
@@ -29,17 +29,7 @@ fn measure(uarch: UarchConfig) -> (f64, f64, usize) {
         .expect("extraction");
 
     // Ground truth under the same configuration.
-    let mut truth = Vec::new();
-    {
-        let mut e = Enclave::new(image.program().clone());
-        let mut c = Core::new(uarch);
-        loop {
-            truth.push(e.ground_truth_pc());
-            if !matches!(e.single_step(&mut c).exit, StepExit::Retired) {
-                break;
-            }
-        }
-    }
+    let truth = Enclave::ground_truth_trace(image.program().clone(), uarch);
     let positional = extracted.accuracy_against(&truth);
     let victim_set = trace::slice_extracted(&extracted)
         .into_iter()

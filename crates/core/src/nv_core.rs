@@ -111,11 +111,6 @@ impl NvCore {
         })?;
         Ok(matched.to_vec())
     }
-
-    /// Direct access to the underlying rig.
-    pub fn rig_mut(&mut self) -> &mut AttackerRig {
-        &mut self.rig
-    }
 }
 
 #[cfg(test)]

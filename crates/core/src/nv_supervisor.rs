@@ -674,20 +674,7 @@ mod tests {
         let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
         build(&mut asm);
         let program = asm.finish().unwrap();
-
-        // Ground truth via direct simulation.
-        let mut truth = Vec::new();
-        {
-            let mut enclave = Enclave::new(program.clone());
-            let mut core = Core::new(UarchConfig::default());
-            loop {
-                truth.push(enclave.ground_truth_pc());
-                let step = enclave.single_step(&mut core);
-                if !matches!(step.exit, StepExit::Retired) {
-                    break;
-                }
-            }
-        }
+        let truth = Enclave::ground_truth_trace(program.clone(), UarchConfig::default());
 
         let mut enclave = Enclave::new(program);
         let mut core = Core::new(UarchConfig::default());

@@ -133,7 +133,6 @@ pub struct NvUser {
     else_idx: usize,
     rng: Rng,
     noise: NoiseModel,
-    resilience: Resilience,
 }
 
 /// Width of the monitored sub-range — the paper's example PW
@@ -172,19 +171,7 @@ impl NvUser {
             else_idx,
             rng: Rng::seed_from_u64(noise.seed),
             noise,
-            resilience: Resilience::none(),
         })
-    }
-
-    /// Sets the robustness knob for every subsequent probe. A victim time
-    /// slice cannot be replayed — the secret iteration it held is gone —
-    /// so the vote count is coerced to 1; only the retry budget (re-prime
-    /// and re-measure after a failed pass) applies to NV-U.
-    pub fn set_resilience(&mut self, resilience: Resilience) {
-        self.resilience = Resilience {
-            votes: 1,
-            retry_budget: resilience.retry_budget,
-        };
     }
 
     /// The monitored windows (sorted by address).
@@ -284,12 +271,11 @@ impl NvUser {
                 }
             }
         }
-        let resilience = self.resilience;
-        // A slice is not replayable, so votes stay at 1; the closure only
-        // exists to satisfy `probe_robust`'s replay hook.
+        // A slice is not replayable, so there is one vote and no retry;
+        // the closure only exists to satisfy `probe_robust`'s replay hook.
         let matched = self
             .rig
-            .probe_robust(system.core_mut(), resilience, |_core| {})?;
+            .probe_robust(system.core_mut(), Resilience::none(), |_core| {})?;
         let then_matched = matched[self.then_idx];
         let else_matched = matched[self.else_idx];
         let inferred = match (then_matched, else_matched) {

@@ -291,19 +291,9 @@ impl Assembler {
         self.emit(Inst::SubRr(dst, src))
     }
 
-    /// Emits `and dst, src`.
-    pub fn and_rr(&mut self, dst: Reg, src: Reg) -> VirtAddr {
-        self.emit(Inst::AndRr(dst, src))
-    }
-
     /// Emits `or dst, src`.
     pub fn or_rr(&mut self, dst: Reg, src: Reg) -> VirtAddr {
         self.emit(Inst::OrRr(dst, src))
-    }
-
-    /// Emits `xor dst, src`.
-    pub fn xor_rr(&mut self, dst: Reg, src: Reg) -> VirtAddr {
-        self.emit(Inst::XorRr(dst, src))
     }
 
     /// Emits `add dst, imm8`.
@@ -321,26 +311,6 @@ impl Assembler {
         self.emit(Inst::AndRi8(dst, imm))
     }
 
-    /// Emits `or dst, imm8`.
-    pub fn or_ri8(&mut self, dst: Reg, imm: i8) -> VirtAddr {
-        self.emit(Inst::OrRi8(dst, imm))
-    }
-
-    /// Emits `xor dst, imm8`.
-    pub fn xor_ri8(&mut self, dst: Reg, imm: i8) -> VirtAddr {
-        self.emit(Inst::XorRi8(dst, imm))
-    }
-
-    /// Emits `add dst, imm32`.
-    pub fn add_ri32(&mut self, dst: Reg, imm: i32) -> VirtAddr {
-        self.emit(Inst::AddRi32(dst, imm))
-    }
-
-    /// Emits `sub dst, imm32`.
-    pub fn sub_ri32(&mut self, dst: Reg, imm: i32) -> VirtAddr {
-        self.emit(Inst::SubRi32(dst, imm))
-    }
-
     /// Emits `shl dst, imm`.
     pub fn shl_ri(&mut self, dst: Reg, imm: u8) -> VirtAddr {
         self.emit(Inst::ShlRi(dst, imm))
@@ -349,11 +319,6 @@ impl Assembler {
     /// Emits `shr dst, imm`.
     pub fn shr_ri(&mut self, dst: Reg, imm: u8) -> VirtAddr {
         self.emit(Inst::ShrRi(dst, imm))
-    }
-
-    /// Emits `sar dst, imm`.
-    pub fn sar_ri(&mut self, dst: Reg, imm: u8) -> VirtAddr {
-        self.emit(Inst::SarRi(dst, imm))
     }
 
     /// Emits `mul dst, src`.
@@ -381,24 +346,9 @@ impl Assembler {
         self.emit(Inst::CmpRi8(a, imm))
     }
 
-    /// Emits `cmp a, imm32`.
-    pub fn cmp_ri32(&mut self, a: Reg, imm: i32) -> VirtAddr {
-        self.emit(Inst::CmpRi32(a, imm))
-    }
-
-    /// Emits `test a, b`.
-    pub fn test_rr(&mut self, a: Reg, b: Reg) -> VirtAddr {
-        self.emit(Inst::TestRr(a, b))
-    }
-
     /// Emits `ld dst, [base + disp8]`.
     pub fn load(&mut self, dst: Reg, base: Reg, disp: i8) -> VirtAddr {
         self.emit(Inst::Load(dst, base, disp))
-    }
-
-    /// Emits `ld dst, [base + disp32]`.
-    pub fn load32(&mut self, dst: Reg, base: Reg, disp: i32) -> VirtAddr {
-        self.emit(Inst::Load32(dst, base, disp))
     }
 
     /// Emits `st [base + disp8], src`.

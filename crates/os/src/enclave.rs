@@ -16,7 +16,7 @@
 //!   accesses set accessed/dirty bits the supervisor can harvest.
 
 use nv_isa::{Program, VirtAddr, PAGE_BYTES};
-use nv_uarch::{Core, Machine};
+use nv_uarch::{Core, Machine, UarchConfig};
 
 use crate::pagetable::PageTable;
 use crate::syscalls;
@@ -215,6 +215,21 @@ impl Enclave {
     /// never reveals this; the benchmarks use it to score attack accuracy.
     pub fn ground_truth_pc(&self) -> VirtAddr {
         self.machine.pc()
+    }
+
+    /// **Evaluation-only ground truth**: the true PC of every retirement
+    /// unit of `program`, from a fresh enclave single-stepped to its end
+    /// on a fresh `uarch` core.
+    pub fn ground_truth_trace(program: Program, uarch: UarchConfig) -> Vec<VirtAddr> {
+        let mut enclave = Enclave::new(program);
+        let mut core = Core::new(uarch);
+        let mut truth = Vec::new();
+        loop {
+            truth.push(enclave.ground_truth_pc());
+            if enclave.single_step(&mut core).exit != StepExit::Retired {
+                return truth;
+            }
+        }
     }
 
     /// **Evaluation-only ground truth**: the underlying machine.

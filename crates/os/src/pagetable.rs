@@ -7,8 +7,10 @@
 //! touches (the call/ret detector of §6.4).
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use nv_isa::VirtAddr;
+use nv_uarch::PageHasher;
 
 /// Permissions and status bits of one 4 KiB page.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,7 +59,9 @@ impl Default for PagePerms {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    pages: HashMap<u64, PagePerms>,
+    /// Iterated only where the result is sorted or order-free, so the
+    /// hash order never shows.
+    pages: HashMap<u64, PagePerms, BuildHasherDefault<PageHasher>>,
 }
 
 impl PageTable {
@@ -116,13 +120,6 @@ impl PageTable {
             perms.dirty = false;
         }
         touched
-    }
-
-    /// Page numbers currently known to the table, sorted.
-    pub fn mapped_pages(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> = self.pages.keys().copied().collect();
-        pages.sort_unstable();
-        pages
     }
 }
 

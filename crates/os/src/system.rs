@@ -130,11 +130,6 @@ impl System {
         &mut self.processes[pid.value() as usize]
     }
 
-    /// Number of spawned processes.
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
-    }
-
     /// Applies the context-switch path (front-end reset + mitigation) for
     /// a switch to *attacker-owned* execution that is driven directly on
     /// the core rather than through a spawned process (the NV-U rig runs

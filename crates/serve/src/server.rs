@@ -23,7 +23,20 @@
 //!    them as one batch of frames;
 //! 3. the final [`Response::Done`] (or typed `Cancelled`/`Error`) is the
 //!    stream's cached terminal; the completion is journaled and the
-//!    per-job checkpoint deleted.
+//!    per-job checkpoint deleted;
+//! 4. the finished job keeps its ring while it is among the
+//!    `queue_cap` most recently finished jobs: a client that lost its
+//!    connection gets as long to come back as a job admitted behind a
+//!    full queue waits to start, and the rings kept are bounded by the
+//!    same knob as the queue. After that the entry keeps only the
+//!    outcome (a digest for `Done`), and a `resume_stream` gets the
+//!    terminal alone (`oldest: 0`; a digest-only `Done` carries
+//!    `passes: 0`), exactly as for a job from a previous life.
+//!
+//! Each job is one entry in one job table: its state (queued, running
+//! with its cancel flag, done with its digest, failed, cancelled) and its
+//! stream while the stream is kept. `status`, `cancel` and every attach
+//! read that one entry, for jobs of this life and journaled ones alike.
 //!
 //! The connection layer assumes a hostile network: per-connection read
 //! *and* write deadlines (a non-reading peer is dropped and counted, not
@@ -41,7 +54,7 @@
 //! cancellations, stream re-attachments, stalled writers and reaped
 //! connections all count in the nv-obs metrics served by `stats`.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,6 +82,21 @@ fn is_timeout(kind: std::io::ErrorKind) -> bool {
         kind,
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
     )
+}
+
+/// The terminal of a cancelled job.
+fn cancelled(job: u64) -> Response {
+    Response::Cancelled {
+        job,
+        state: "cancelled".to_string(),
+    }
+}
+
+/// The error answering an attach to a job the server does not know.
+fn unknown_job(job: u64) -> Response {
+    Response::Error {
+        detail: format!("unknown job {job}"),
+    }
 }
 
 /// Appends `response` to `batch` as one encoded frame.
@@ -121,15 +149,50 @@ impl ServerConfig {
 }
 
 /// Where a job is in its lifecycle.
-#[derive(Clone, Debug)]
 enum JobState {
     Queued,
-    Running,
-    Done(JobReport),
-    // The detail is surfaced through the Debug impl (operator logs) and
-    // the error frame already sent to the submitter.
-    Failed(#[allow(dead_code)] String),
+    /// Running; raising the flag cancels it at the trial's next
+    /// cooperative check.
+    Running(Arc<AtomicBool>),
+    /// Finished, with its outcome digest.
+    Done(u64),
+    /// Failed, with the error detail its stream ended on.
+    Failed(String),
     Cancelled,
+}
+
+impl JobState {
+    /// The state as `status` and `cancel` name it on the wire.
+    fn tag(&self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running(_) => "running",
+            JobState::Done(_) => "done",
+            JobState::Failed(_) => "failed",
+            JobState::Cancelled => "cancelled",
+        }
+    }
+
+    fn is_live(&self) -> bool {
+        matches!(self, JobState::Queued | JobState::Running(_))
+    }
+}
+
+/// One job in the job table.
+struct JobEntry {
+    state: JobState,
+    /// The outcome stream: kept while the job is live and while it is
+    /// among the `queue_cap` most recently finished jobs.
+    stream: Option<Arc<Mutex<JobStream>>>,
+}
+
+impl JobEntry {
+    fn queued() -> JobEntry {
+        JobEntry {
+            state: JobState::Queued,
+            stream: Some(Arc::default()),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -148,20 +211,60 @@ struct QueuedJob {
 
 /// One job's buffered outcome stream: sequence-numbered updates in a
 /// bounded ring, live subscribers, and the cached terminal response.
+#[derive(Default)]
 struct JobStream {
     ring: VecDeque<TrialUpdate>,
-    next_seq: u64,
+    /// Updates published so far: the last one's sequence number.
+    published: u64,
     terminal: Option<Response>,
     subscribers: Vec<Sender<Response>>,
 }
 
-impl Default for JobStream {
-    fn default() -> JobStream {
-        JobStream {
-            ring: VecDeque::new(),
-            next_seq: 1,
-            terminal: None,
-            subscribers: Vec::new(),
+impl JobStream {
+    /// Appends one update to the ring (assigning its sequence number)
+    /// and fans it out to live subscribers.
+    fn publish(&mut self, mut update: TrialUpdate, ring_cap: usize) {
+        self.published += 1;
+        update.seq = self.published;
+        self.ring.push_back(update.clone());
+        while self.ring.len() > ring_cap {
+            self.ring.pop_front();
+        }
+        self.subscribers
+            .retain(|tx| tx.send(Response::Trial(update.clone())).is_ok());
+    }
+
+    /// Caches the terminal response and delivers it to every live
+    /// subscriber, ending their streams.
+    fn end(&mut self, response: Response) {
+        for tx in self.subscribers.drain(..) {
+            let _ = tx.send(response.clone());
+        }
+        self.terminal = Some(response);
+    }
+
+    /// Buffered updates past `cursor`, the terminal if the job ended, a
+    /// live subscription otherwise.
+    fn attach(&mut self, cursor: u64) -> Attached {
+        let replay: Vec<TrialUpdate> = self
+            .ring
+            .iter()
+            .filter(|u| u.seq > cursor)
+            .cloned()
+            .collect();
+        let terminal = self.terminal.clone();
+        let live = if terminal.is_none() {
+            let (tx, rx) = mpsc::channel();
+            self.subscribers.push(tx);
+            Some(rx)
+        } else {
+            None
+        };
+        Attached {
+            replay,
+            terminal,
+            live,
+            oldest: self.ring.front().map_or(0, |u| u.seq),
         }
     }
 }
@@ -181,10 +284,11 @@ struct Attached {
 struct State {
     queue: VecDeque<QueuedJob>,
     tenants: HashMap<String, usize>,
-    jobs: HashMap<u64, JobState>,
-    done_digests: BTreeMap<u64, u64>,
+    /// The job table: every job of this life and every journaled one.
+    jobs: HashMap<u64, JobEntry>,
+    /// Finished jobs that still hold their rings, oldest first.
+    retained: VecDeque<u64>,
     idem_index: HashMap<(String, u64), u64>,
-    cancel_flags: HashMap<u64, Arc<AtomicBool>>,
     next_job: u64,
     running: usize,
     draining: bool,
@@ -193,12 +297,45 @@ struct State {
     counters: Counters,
 }
 
+impl State {
+    /// Moves `job` to its terminal `state` and returns its stream. The
+    /// oldest retained rings beyond `keep` are dropped.
+    fn finish(&mut self, job: u64, state: JobState, keep: usize) -> Option<Arc<Mutex<JobStream>>> {
+        let entry = self.jobs.get_mut(&job)?;
+        entry.state = state;
+        let stream = entry.stream.clone();
+        self.retained.push_back(job);
+        while self.retained.len() > keep {
+            let oldest = self.retained.pop_front();
+            if let Some(entry) = oldest.and_then(|job| self.jobs.get_mut(&job)) {
+                entry.stream = None;
+            }
+        }
+        stream
+    }
+
+    /// Returns one of `tenant`'s active-job slots.
+    fn release_tenant(&mut self, tenant: &str) {
+        if let Some(active) = self.tenants.get_mut(tenant) {
+            *active = active.saturating_sub(1);
+            if *active == 0 {
+                self.tenants.remove(tenant);
+            }
+        }
+    }
+}
+
+/// Delivers a job's terminal response on its stream.
+fn end_stream(stream: &Mutex<JobStream>, response: Response) {
+    stream.lock().expect("job stream poisoned").end(response);
+}
+
 struct Inner {
     config: ServerConfig,
+    // A job's stream lock is never taken while `state` is held, so
+    // publishing an update never waits behind an admission's journal
+    // write.
     state: Mutex<State>,
-    // Lock order: `state` before `streams`; never take `state` while
-    // holding `streams`.
-    streams: Mutex<HashMap<u64, JobStream>>,
     work_ready: Condvar,
     idle: Condvar,
     journal: JobJournal,
@@ -246,96 +383,43 @@ impl Inner {
         }
     }
 
-    /// Appends one update to the job's ring (assigning its sequence
-    /// number) and fans it out to live subscribers.
-    fn publish_update(&self, job: u64, mut update: TrialUpdate) {
-        let mut streams = self.streams.lock().expect("stream registry poisoned");
-        let stream = streams.entry(job).or_default();
-        update.seq = stream.next_seq;
-        stream.next_seq += 1;
-        stream.ring.push_back(update.clone());
-        while stream.ring.len() > self.config.ring_cap {
-            stream.ring.pop_front();
+    /// Attaches to a job's stream at `cursor`. A finished job without a
+    /// ring gets its terminal alone: a digest-only `Done` (`passes: 0`,
+    /// `trials` being the caller's best knowledge of the job size, 0
+    /// when unknown), `Cancelled`, or a failure `Error`. `None` when the
+    /// job table does not know the job.
+    fn attach(&self, job: u64, cursor: u64, trials: u64) -> Option<Attached> {
+        let state = self.state.lock().expect("server state poisoned");
+        let entry = state.jobs.get(&job)?;
+        if let Some(stream) = entry.stream.clone() {
+            drop(state);
+            let attached = stream.lock().expect("job stream poisoned").attach(cursor);
+            return Some(attached);
         }
-        stream
-            .subscribers
-            .retain(|tx| tx.send(Response::Trial(update.clone())).is_ok());
-    }
-
-    /// Caches the job's terminal response and delivers it to every live
-    /// subscriber, ending their streams.
-    fn publish_terminal(&self, job: u64, response: Response) {
-        let mut streams = self.streams.lock().expect("stream registry poisoned");
-        let stream = streams.entry(job).or_default();
-        stream.terminal = Some(response.clone());
-        for tx in stream.subscribers.drain(..) {
-            let _ = tx.send(response.clone());
-        }
-    }
-
-    /// Attaches to a job's stream at `cursor`: buffered updates past it,
-    /// the terminal if the job ended, a live subscription otherwise.
-    /// `None` when no stream exists for the job.
-    fn attach(&self, job: u64, cursor: u64) -> Option<Attached> {
-        let mut streams = self.streams.lock().expect("stream registry poisoned");
-        let stream = streams.get_mut(&job)?;
-        let replay: Vec<TrialUpdate> = stream
-            .ring
-            .iter()
-            .filter(|u| u.seq > cursor)
-            .cloned()
-            .collect();
-        let terminal = stream.terminal.clone();
-        let live = if terminal.is_none() {
-            let (tx, rx) = mpsc::channel();
-            stream.subscribers.push(tx);
-            Some(rx)
-        } else {
-            None
+        let terminal = match &entry.state {
+            &JobState::Done(digest) => Response::Done(JobReport {
+                job,
+                trials,
+                completed: 0,
+                quarantined: 0,
+                resumed_trials: 0,
+                passes: 0,
+                digest,
+                metrics_json: "{}".to_string(),
+            }),
+            JobState::Cancelled => cancelled(job),
+            JobState::Failed(detail) => Response::Error {
+                detail: detail.clone(),
+            },
+            // A live job always holds its stream.
+            JobState::Queued | JobState::Running(_) => return None,
         };
         Some(Attached {
-            replay,
-            terminal,
-            live,
-            oldest: stream.ring.front().map_or(0, |u| u.seq),
+            replay: Vec::new(),
+            terminal: Some(terminal),
+            live: None,
+            oldest: 0,
         })
-    }
-
-    /// Synthesizes a terminal-only stream for a job that ended in a
-    /// previous life (its ring died with that process): a digest-only
-    /// `Done` for journaled completions, a `Cancelled` for journaled
-    /// cancellations. `trials` is the caller's best knowledge of the job
-    /// size (0 when unknown); a digest-only report carries `passes: 0`
-    /// so clients can tell it from a live one.
-    fn ensure_offline_stream(&self, job: u64, trials: u64) {
-        let terminal = {
-            let state = self.state.lock().expect("server state poisoned");
-            if let Some(&digest) = state.done_digests.get(&job) {
-                Some(Response::Done(JobReport {
-                    job,
-                    trials,
-                    completed: 0,
-                    quarantined: 0,
-                    resumed_trials: 0,
-                    passes: 0,
-                    digest,
-                    metrics_json: "{}".to_string(),
-                }))
-            } else if matches!(state.jobs.get(&job), Some(JobState::Cancelled)) {
-                Some(Response::Cancelled {
-                    job,
-                    state: "cancelled".to_string(),
-                })
-            } else {
-                None
-            }
-        };
-        let Some(terminal) = terminal else { return };
-        let mut streams = self.streams.lock().expect("stream registry poisoned");
-        let stream = streams.entry(job).or_default();
-        if stream.terminal.is_none() && stream.ring.is_empty() {
-            stream.terminal = Some(terminal);
-        }
     }
 
     /// Admission control. On success the job is journaled, queued, and
@@ -351,10 +435,6 @@ impl Inner {
         let mut state = self.state.lock().expect("server state poisoned");
         if idem != 0 {
             if let Some(&job) = state.idem_index.get(&(tenant.to_string(), idem)) {
-                drop(state);
-                // The original may predate this life; make sure its
-                // terminal is attachable before the client asks.
-                self.ensure_offline_stream(job, spec.trials as u64);
                 return Ok(Ok(job));
             }
         }
@@ -405,14 +485,9 @@ impl Inner {
             spec,
         });
         state.peak_depth = state.peak_depth.max(state.queue.len());
-        state.jobs.insert(job, JobState::Queued);
+        state.jobs.insert(job, JobEntry::queued());
         state.counters.submitted += 1;
         drop(state);
-        self.streams
-            .lock()
-            .expect("stream registry poisoned")
-            .entry(job)
-            .or_default();
         self.observe(ObsEvent::JobAdmitted { job });
         self.work_ready.notify_one();
         Ok(Ok(job))
@@ -422,62 +497,30 @@ impl Inner {
     /// the client where the cancel landed.
     fn cancel_job(&self, job: u64) -> Response {
         let mut state = self.state.lock().expect("server state poisoned");
-        let landed = match state.jobs.get(&job) {
-            Some(JobState::Queued) => {
-                let mut tenant = None;
-                state.queue.retain(|q| {
-                    if q.job == job {
-                        tenant = Some(q.tenant.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if let Some(tenant) = tenant {
-                    if let Some(active) = state.tenants.get_mut(&tenant) {
-                        *active = active.saturating_sub(1);
-                        if *active == 0 {
-                            state.tenants.remove(&tenant);
-                        }
-                    }
-                }
-                state.jobs.insert(job, JobState::Cancelled);
-                "queued"
-            }
-            Some(JobState::Running) => {
-                if let Some(flag) = state.cancel_flags.get(&job) {
-                    flag.store(true, Ordering::Relaxed);
-                }
-                "running"
-            }
-            Some(JobState::Done(_)) => "done",
-            Some(JobState::Failed(_)) => "failed",
-            Some(JobState::Cancelled) => "cancelled",
-            None => {
-                if state.done_digests.contains_key(&job) {
-                    "done"
-                } else {
-                    "unknown"
-                }
-            }
-        };
-        drop(state);
+        let entry_state = state.jobs.get(&job).map(|entry| &entry.state);
+        let landed = entry_state.map_or("unknown", JobState::tag);
+        if let Some(JobState::Running(flag)) = entry_state {
+            flag.store(true, Ordering::Relaxed);
+        }
         match landed {
             "queued" => {
+                if let Some(at) = state.queue.iter().position(|q| q.job == job) {
+                    let queued = state.queue.remove(at).expect("position is in range");
+                    state.release_tenant(&queued.tenant);
+                }
+                let stream = state.finish(job, JobState::Cancelled, self.config.queue_cap);
+                drop(state);
                 // Durable and terminal right here: the job will never
                 // run, in this life or any other.
                 let _ = self.journal.record_cancel(job);
                 self.observe(ObsEvent::JobCancelled { job });
-                self.publish_terminal(
-                    job,
-                    Response::Cancelled {
-                        job,
-                        state: "cancelled".to_string(),
-                    },
-                );
+                if let Some(stream) = stream {
+                    end_stream(&stream, cancelled(job));
+                }
                 self.idle.notify_all();
             }
             "running" => {
+                drop(state);
                 // Durable now; the worker publishes the terminal when
                 // the trial's cooperative check observes the flag.
                 let _ = self.journal.record_cancel(job);
@@ -512,16 +555,10 @@ impl Inner {
 
     fn status(&self, job: u64) -> Response {
         let state = self.state.lock().expect("server state poisoned");
-        let (state_tag, digest) = match state.jobs.get(&job) {
-            Some(JobState::Queued) => ("queued", 0),
-            Some(JobState::Running) => ("running", 0),
-            Some(JobState::Done(report)) => ("done", report.digest),
-            Some(JobState::Failed(_)) => ("failed", 0),
-            Some(JobState::Cancelled) => ("cancelled", 0),
-            None => match state.done_digests.get(&job) {
-                Some(digest) => ("done", *digest),
-                None => ("unknown", 0),
-            },
+        let (state_tag, digest) = match state.jobs.get(&job).map(|entry| &entry.state) {
+            Some(&JobState::Done(digest)) => ("done", digest),
+            Some(other) => (other.tag(), 0),
+            None => ("unknown", 0),
         };
         Response::Status {
             job,
@@ -532,7 +569,7 @@ impl Inner {
 
     fn worker_loop(&self) {
         loop {
-            let (queued, cancel_flag) = {
+            let (queued, cancel_flag, stream) = {
                 let mut state = self.state.lock().expect("server state poisoned");
                 loop {
                     if state.shutdown {
@@ -540,10 +577,11 @@ impl Inner {
                     }
                     if let Some(job) = state.queue.pop_front() {
                         state.running += 1;
-                        state.jobs.insert(job.job, JobState::Running);
                         let flag = Arc::new(AtomicBool::new(false));
-                        state.cancel_flags.insert(job.job, Arc::clone(&flag));
-                        break (job, flag);
+                        let entry = state.jobs.get_mut(&job.job).expect("queued job in table");
+                        entry.state = JobState::Running(Arc::clone(&flag));
+                        let stream = entry.stream.clone().expect("a live job keeps its stream");
+                        break (job, flag, stream);
                     }
                     state = self.work_ready.wait(state).expect("server state poisoned");
                 }
@@ -553,11 +591,14 @@ impl Inner {
             let path = self.checkpoint_path(job);
             let result = catch_unwind(AssertUnwindSafe(|| {
                 run_job(job, &spec, &path, Some(&cancel_flag), |update| {
-                    self.publish_update(job, update);
+                    stream
+                        .lock()
+                        .expect("job stream poisoned")
+                        .publish(update, self.config.ring_cap);
                 })
             }));
 
-            let final_response = match result {
+            let (end_state, final_response) = match result {
                 Ok(Ok(report)) => {
                     // Journal the completion before deleting the
                     // checkpoint: a crash between the two re-runs nothing
@@ -567,58 +608,38 @@ impl Inner {
                     if journaled.is_ok() {
                         let _ = std::fs::remove_file(&path);
                     }
-                    let mut state = self.state.lock().expect("server state poisoned");
-                    state.done_digests.insert(job, report.digest);
-                    state.jobs.insert(job, JobState::Done(report.clone()));
-                    state.counters.completed += 1;
-                    drop(state);
                     self.observe(ObsEvent::JobCompleted { job });
-                    Response::Done(report)
+                    (JobState::Done(report.digest), Response::Done(report))
                 }
                 Ok(Err(JobError::Cancelled)) => {
                     // The checkpoint survives: completed trials stay
                     // durable for an un-cancelled resubmission. The
-                    // cancel record is usually already journaled by the
-                    // cancel handler; writing it again is harmless and
-                    // covers the drain-deadline path.
+                    // cancel record is already journaled by `cancel_job`,
+                    // which every cancellation goes through; this second
+                    // write retries it in case that one failed.
                     let _ = self.journal.record_cancel(job);
-                    let mut state = self.state.lock().expect("server state poisoned");
-                    state.jobs.insert(job, JobState::Cancelled);
-                    drop(state);
                     self.observe(ObsEvent::JobCancelled { job });
-                    Response::Cancelled {
-                        job,
-                        state: "cancelled".to_string(),
-                    }
+                    (JobState::Cancelled, cancelled(job))
                 }
                 Ok(Err(err)) => {
                     let detail = format!("job {job} failed: {err}");
-                    let mut state = self.state.lock().expect("server state poisoned");
-                    state.jobs.insert(job, JobState::Failed(detail.clone()));
-                    drop(state);
-                    Response::Error { detail }
+                    (JobState::Failed(detail.clone()), Response::Error { detail })
                 }
                 Err(_) => {
                     let detail = format!("job {job} panicked outside the campaign engine");
-                    let mut state = self.state.lock().expect("server state poisoned");
-                    state.jobs.insert(job, JobState::Failed(detail.clone()));
-                    drop(state);
-                    Response::Error { detail }
+                    (JobState::Failed(detail.clone()), Response::Error { detail })
                 }
             };
-            self.publish_terminal(job, final_response);
-
             let mut state = self.state.lock().expect("server state poisoned");
-            state.cancel_flags.remove(&job);
-            state.running -= 1;
-            if let Some(active) = state.tenants.get_mut(&tenant) {
-                *active = active.saturating_sub(1);
-                if *active == 0 {
-                    state.tenants.remove(&tenant);
-                }
+            if matches!(end_state, JobState::Done(_)) {
+                state.counters.completed += 1;
             }
+            state.finish(job, end_state, self.config.queue_cap);
+            state.running -= 1;
+            state.release_tenant(&tenant);
             let quiescent = state.running == 0 && state.queue.is_empty();
             drop(state);
+            end_stream(&stream, final_response);
             if quiescent {
                 self.idle.notify_all();
             }
@@ -714,6 +735,7 @@ impl Inner {
         spec: JobSpec,
         idem: u64,
     ) -> bool {
+        let trials = spec.trials as u64;
         match self.admit(tenant, spec, idem) {
             Ok(Ok(job)) => {
                 if !self.send_response(
@@ -725,7 +747,10 @@ impl Inner {
                 ) {
                     return false;
                 }
-                self.pump_stream(stream, job, 0)
+                match self.attach(job, 0, trials) {
+                    Some(attached) => self.pump_attached(stream, job, attached),
+                    None => self.send_response(stream, &unknown_job(job)),
+                }
             }
             Ok(Err(reason)) => self.send_response(stream, &Response::Rejected { reason }),
             Err(err) => {
@@ -741,16 +766,8 @@ impl Inner {
     }
 
     fn handle_resume(&self, stream: &mut TcpStream, job: u64, last_seen_seq: u64) -> bool {
-        // Jobs that ended in a previous life have no ring; give them a
-        // terminal-only stream before attaching.
-        self.ensure_offline_stream(job, 0);
-        let Some(attached) = self.attach(job, last_seen_seq) else {
-            return self.send_response(
-                stream,
-                &Response::Error {
-                    detail: format!("unknown job {job}"),
-                },
-            );
+        let Some(attached) = self.attach(job, last_seen_seq, 0) else {
+            return self.send_response(stream, &unknown_job(job));
         };
         self.observe(ObsEvent::StreamResumed {
             job,
@@ -766,19 +783,6 @@ impl Inner {
         ) {
             return false;
         }
-        self.pump_attached(stream, job, attached)
-    }
-
-    /// Attaches at `cursor` and forwards the job's stream to its end.
-    fn pump_stream(&self, stream: &mut TcpStream, job: u64, cursor: u64) -> bool {
-        let Some(attached) = self.attach(job, cursor) else {
-            return self.send_response(
-                stream,
-                &Response::Error {
-                    detail: format!("unknown job {job}"),
-                },
-            );
-        };
         self.pump_attached(stream, job, attached)
     }
 
@@ -825,22 +829,10 @@ impl Inner {
                         return true;
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.is_shutdown() {
-                        let _ = self.send_response(
-                            stream,
-                            &Response::Error {
-                                detail: format!(
-                                    "job {job} interrupted by shutdown; it will resume on restart"
-                                ),
-                            },
-                        );
-                        return false;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Shutdown cleared the subscribers (the job was still
-                    // queued); the journal will resume it.
+                Err(mpsc::RecvTimeoutError::Timeout) if !self.is_shutdown() => {}
+                Err(_) => {
+                    // Shutting down, or shutdown cleared the subscribers
+                    // (the job was still live); the journal will resume it.
                     let _ = self.send_response(
                         stream,
                         &Response::Error {
@@ -887,9 +879,9 @@ impl Read for RequestReader<'_> {
 pub struct Server {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
+    /// Returns the connection threads still running when it stopped.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     workers: Vec<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -918,13 +910,8 @@ impl Server {
             queue: VecDeque::new(),
             tenants: HashMap::new(),
             jobs: HashMap::new(),
-            done_digests: replay.done.clone(),
-            idem_index: replay
-                .idem
-                .iter()
-                .map(|((tenant, key), job)| ((tenant.clone(), *key), *job))
-                .collect(),
-            cancel_flags: HashMap::new(),
+            retained: VecDeque::new(),
+            idem_index: replay.idem.into_iter().collect(),
             next_job: replay.next_job,
             running: 0,
             draining: false,
@@ -932,8 +919,16 @@ impl Server {
             peak_depth: 0,
             counters: Counters::default(),
         };
+        // Jobs that ended in a previous life have no ring.
+        let ended = |job_state| JobEntry {
+            state: job_state,
+            stream: None,
+        };
+        for (&job, &digest) in &replay.done {
+            state.jobs.insert(job, ended(JobState::Done(digest)));
+        }
         for &job in &replay.cancelled {
-            state.jobs.insert(job, JobState::Cancelled);
+            state.jobs.insert(job, ended(JobState::Cancelled));
         }
         // Re-queue every in-flight job from the journal. Resumed jobs
         // bypass the admission cap: they hold an admission from a
@@ -941,7 +936,7 @@ impl Server {
         // entries forever.
         for pending in &replay.pending {
             *state.tenants.entry(pending.tenant.clone()).or_insert(0) += 1;
-            state.jobs.insert(pending.job, JobState::Queued);
+            state.jobs.insert(pending.job, JobEntry::queued());
             state.queue.push_back(QueuedJob {
                 job: pending.job,
                 tenant: pending.tenant.clone(),
@@ -954,7 +949,6 @@ impl Server {
         let inner = Arc::new(Inner {
             config,
             state: Mutex::new(state),
-            streams: Mutex::new(HashMap::new()),
             work_ready: Condvar::new(),
             idle: Condvar::new(),
             journal,
@@ -966,12 +960,6 @@ impl Server {
                 records: replay.dropped_records as u64,
                 bytes: replay.dropped_bytes,
             });
-        }
-        {
-            let mut streams = inner.streams.lock().expect("stream registry poisoned");
-            for pending in &replay.pending {
-                streams.entry(pending.job).or_default();
-            }
         }
         for pending in &replay.pending {
             inner.observe(ObsEvent::JobResumed { job: pending.job });
@@ -985,28 +973,23 @@ impl Server {
             })
             .collect();
 
-        let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
         let acceptor = {
             let inner = Arc::clone(&inner);
-            let connections = Arc::clone(&connections);
-            std::thread::spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if inner.is_shutdown() {
-                            return;
-                        }
-                        let conn_inner = Arc::clone(&inner);
-                        let handle =
-                            std::thread::spawn(move || conn_inner.handle_connection(stream));
-                        connections
-                            .lock()
-                            .expect("connection registry poisoned")
-                            .push(handle);
+            std::thread::spawn(move || {
+                let mut connections: Vec<JoinHandle<()>> = Vec::new();
+                loop {
+                    let accepted = listener.accept();
+                    if inner.is_shutdown() {
+                        return connections;
                     }
-                    Err(_) => {
-                        if inner.is_shutdown() {
-                            return;
-                        }
+                    if let Ok((stream, _)) = accepted {
+                        // Resilient clients reconnect on every retry: keep
+                        // only the handles of connections still open.
+                        connections.retain(|handle| !handle.is_finished());
+                        let conn_inner = Arc::clone(&inner);
+                        connections.push(std::thread::spawn(move || {
+                            conn_inner.handle_connection(stream)
+                        }));
                     }
                 }
             })
@@ -1017,7 +1000,6 @@ impl Server {
             local_addr,
             acceptor: Some(acceptor),
             workers: worker_handles,
-            connections,
         })
     }
 
@@ -1078,36 +1060,14 @@ impl Server {
         }
         let clean = self.wait_idle(deadline);
         if !clean {
-            let (cancelled_queued, flags) = {
-                let mut state = self.inner.state.lock().expect("server state poisoned");
-                let queued: Vec<(u64, String)> =
-                    state.queue.drain(..).map(|q| (q.job, q.tenant)).collect();
-                for (job, tenant) in &queued {
-                    state.jobs.insert(*job, JobState::Cancelled);
-                    if let Some(active) = state.tenants.get_mut(tenant) {
-                        *active = active.saturating_sub(1);
-                        if *active == 0 {
-                            state.tenants.remove(tenant);
-                        }
-                    }
-                }
-                let flags: Vec<Arc<AtomicBool>> =
-                    state.cancel_flags.values().map(Arc::clone).collect();
-                (queued, flags)
+            let mut live: Vec<u64> = {
+                let state = self.inner.state.lock().expect("server state poisoned");
+                let live = state.jobs.iter().filter(|(_, entry)| entry.state.is_live());
+                live.map(|(&job, _)| job).collect()
             };
-            for (job, _) in &cancelled_queued {
-                let _ = self.inner.journal.record_cancel(*job);
-                self.inner.observe(ObsEvent::JobCancelled { job: *job });
-                self.inner.publish_terminal(
-                    *job,
-                    Response::Cancelled {
-                        job: *job,
-                        state: "cancelled".to_string(),
-                    },
-                );
-            }
-            for flag in flags {
-                flag.store(true, Ordering::Relaxed);
+            live.sort_unstable();
+            for job in live {
+                self.inner.cancel_job(job);
             }
             // Running trials observe their flags at the next cooperative
             // watchdog check; give them a moment to become typed
@@ -1119,39 +1079,39 @@ impl Server {
     }
 
     fn stop_and_join(&mut self) {
-        {
+        let live_streams: Vec<Arc<Mutex<JobStream>>> = {
             let mut state = self.inner.state.lock().expect("server state poisoned");
             state.shutdown = true;
             // Queued jobs go back to the journal: the next start resumes
             // them. Their subscribers are unblocked below.
             state.queue.clear();
-        }
-        {
-            // Unblock connections pumping streams that will never end in
-            // this life (their jobs were still queued).
-            let mut streams = self.inner.streams.lock().expect("stream registry poisoned");
-            for stream in streams.values_mut() {
-                if stream.terminal.is_none() {
-                    stream.subscribers.clear();
-                }
-            }
+            state
+                .jobs
+                .values()
+                .filter(|entry| entry.state.is_live())
+                .filter_map(|entry| entry.stream.clone())
+                .collect()
+        };
+        // Unblock connections pumping streams that will never end in
+        // this life.
+        for stream in live_streams {
+            stream
+                .lock()
+                .expect("job stream poisoned")
+                .subscribers
+                .clear();
         }
         self.inner.work_ready.notify_all();
         // Unblock the acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        let connections = self
+            .acceptor
+            .take()
+            .and_then(|acceptor| acceptor.join().ok())
+            .unwrap_or_default();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        let connections = {
-            let mut registry = self
-                .connections
-                .lock()
-                .expect("connection registry poisoned");
-            registry.drain(..).collect::<Vec<_>>()
-        };
         for connection in connections {
             let _ = connection.join();
         }

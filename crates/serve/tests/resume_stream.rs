@@ -303,3 +303,155 @@ fn wire_cancel_lands_as_a_typed_terminal_and_survives_restart() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&spool);
 }
+
+/// Resumes `job` from the start and returns its replayed sequence
+/// numbers and its terminal report.
+fn resume_all(client: &mut Client, job: u64) -> (Vec<u64>, nv_serve::JobReport) {
+    client.resume_stream(job, 0).unwrap();
+    let mut seqs = Vec::new();
+    loop {
+        match client.next_update().expect("stream frame") {
+            Response::Trial(update) => seqs.push(update.seq),
+            Response::Done(report) => return (seqs, report),
+            other => panic!("unexpected stream frame {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn finished_jobs_past_ring_retention_keep_their_digest() {
+    // A finished job keeps its ring while it is among the `queue_cap`
+    // most recently finished; run more jobs than that.
+    const KEEP: usize = 4;
+    const JOBS: usize = KEEP + 2;
+    let spool = scratch_dir("retention");
+    let mut config = ServerConfig::new(&spool);
+    config.queue_cap = KEEP;
+    let server = Server::start(config.clone()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let finished: Vec<_> = (0..JOBS)
+        .map(|i| {
+            client
+                .submit_and_wait("acme", &small_job(2, 0x7e7a ^ i as u64))
+                .unwrap()
+                .expect("idle server must admit")
+        })
+        .collect();
+    let (oldest, newest) = (&finished[0].report, &finished[JOBS - 1].report);
+
+    // The oldest job lost its ring: resuming it gives the digest-only
+    // terminal, as for a job from a previous life.
+    let (epoch, first_seq) = client.resume_stream(oldest.job, 0).unwrap();
+    assert_eq!((epoch, first_seq), (server.epoch(), 0));
+    match client.next_update().unwrap() {
+        Response::Done(report) => {
+            assert_eq!(report.digest, oldest.digest);
+            assert_eq!(report.passes, 0, "digest-only reports carry passes=0");
+        }
+        other => panic!("expected the digest-only terminal, got {other:?}"),
+    }
+
+    // The newest job still replays its whole ring, byte-identical.
+    let (_, first_seq) = client.resume_stream(newest.job, 0).unwrap();
+    assert_eq!(first_seq, 1);
+    let (frames, seqs, digest) = drain_to_done(&mut client);
+    let baseline: Vec<String> = finished[JOBS - 1]
+        .updates
+        .iter()
+        .map(|u| Response::Trial(u.clone()).encode())
+        .collect();
+    assert_eq!(frames, baseline);
+    assert_eq!(seqs, vec![1, 2]);
+    assert_eq!(digest, newest.digest);
+
+    // Status and cancel read one table entry, whether the job still
+    // holds its ring, lost it, or finished in a previous life.
+    let answers = |client: &mut Client, job: u64| {
+        let status = client.status(job).unwrap();
+        (status, client.cancel(job).unwrap())
+    };
+    let done = |job: &nv_serve::JobReport| (("done".to_string(), job.digest), "done".to_string());
+    let cancelled = (("cancelled".to_string(), 0), "cancelled".to_string());
+    assert_eq!(answers(&mut client, newest.job), done(newest));
+    assert_eq!(answers(&mut client, oldest.job), done(oldest));
+
+    // The same for a running job and a queued one behind it (one
+    // worker); the long job is cancelled long before it could finish.
+    let mut running_client = Client::connect(server.addr()).unwrap();
+    let Submission::Accepted {
+        job: running_job, ..
+    } = running_client
+        .submit("acme", &small_job(100_000, 0x4104))
+        .unwrap()
+    else {
+        panic!("must admit the long job");
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while client.status(running_job).unwrap().0 != "running" {
+        assert!(std::time::Instant::now() < deadline, "long job never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut queued_client = Client::connect(server.addr()).unwrap();
+    let Submission::Accepted {
+        job: queued_job, ..
+    } = queued_client
+        .submit("acme", &small_job(2, 0x0_fa57))
+        .unwrap()
+    else {
+        panic!("must admit the queued job");
+    };
+    let queued = (("queued".to_string(), 0), "queued".to_string());
+    let running = (("running".to_string(), 0), "running".to_string());
+    assert_eq!(answers(&mut client, queued_job), queued);
+    assert_eq!(answers(&mut client, running_job), running);
+    assert!(server.wait_idle(Duration::from_secs(60)));
+    assert_eq!(answers(&mut client, queued_job), cancelled);
+    assert_eq!(answers(&mut client, running_job), cancelled);
+    server.shutdown();
+
+    let server = Server::start(config).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(answers(&mut client, newest.job), done(newest));
+    assert_eq!(answers(&mut client, oldest.job), done(oldest));
+    assert_eq!(answers(&mut client, queued_job), cancelled);
+    assert_eq!(answers(&mut client, running_job), cancelled);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+#[test]
+fn a_wide_queue_keeps_every_ring_for_clients_that_drop_mid_stream() {
+    // The chaos drill's admission (`queue_cap` 1024) with more jobs than
+    // the default queue holds, every submitter hanging up right after
+    // `Accepted`: each job still replays its whole ring on resume.
+    const JOBS: u64 = 72;
+    let spool = scratch_dir("wide_queue");
+    let mut config = ServerConfig::new(&spool);
+    config.workers = 2;
+    config.queue_cap = 1024;
+    config.tenant_quota = 1024;
+    let server = Server::start(config).unwrap();
+    let jobs: Vec<u64> = (0..JOBS)
+        .map(|i| {
+            let mut client = Client::connect(server.addr()).unwrap();
+            match client.submit("acme", &small_job(2, 0xd409 ^ i)).unwrap() {
+                Submission::Accepted { job, .. } => job,
+                other => panic!("must admit every job, got {other:?}"),
+            }
+        })
+        .collect();
+    assert!(server.wait_idle(Duration::from_secs(120)));
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    for job in jobs {
+        let (seqs, report) = resume_all(&mut client, job);
+        assert_eq!(seqs, vec![1, 2], "job {job} lost its ring");
+        assert!(report.passes > 0, "job {job} answered digest-only");
+        assert_eq!(
+            client.status(job).unwrap(),
+            ("done".to_string(), report.digest)
+        );
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}

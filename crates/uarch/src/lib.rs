@@ -57,7 +57,7 @@ pub use decoded::DecodedImage;
 pub use events::SquashCause;
 pub use exec::{execute, ArchState, ControlOutcome, ExecOutcome, MemAccess};
 pub use lbr::{Lbr, LbrRecord, LBR_DEPTH};
-pub use mem::{Bus, Memory, SpecOverlay};
+pub use mem::{Bus, Memory, PageHasher, SpecOverlay};
 pub use perturb::Perturbation;
 
 /// The observability layer ([`nv_obs`]) the core reports into — re-exported

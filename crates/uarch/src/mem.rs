@@ -17,12 +17,13 @@ type Page = [u8; PAGE];
 /// Hasher for page-number keys: a fixed multiplicative (Fibonacci) hash,
 /// one multiply per probe.
 ///
-/// Page maps are only ever probed by key and never iterated, so nothing
-/// observable depends on the hash function. The keys are page numbers of
-/// the simulated programs, not input from outside the program, so there is
-/// no crafted-collision input to defend against.
+/// A page map must not let the hash order show: probe it by key, and
+/// sort what an iteration collects (as `nv_os::PageTable` does). The
+/// keys are page numbers of the simulated programs, not input from
+/// outside the program, so there is no crafted-collision input to defend
+/// against.
 #[derive(Default)]
-struct PageHasher(u64);
+pub struct PageHasher(u64);
 
 impl Hasher for PageHasher {
     fn finish(&self) -> u64 {

@@ -6,24 +6,12 @@ use std::collections::BTreeSet;
 
 use nightvision::fingerprint::{similarity, Fingerprinter, ReferenceFunction};
 use nightvision::{trace, NvSupervisor};
+use nv_bench::nv_s_main_function_set;
 use nv_corpus::{generate, CorpusConfig};
 use nv_isa::VirtAddr;
 use nv_os::Enclave;
 use nv_uarch::{Core, UarchConfig};
 use nv_victims::compile::{compile_gcd, CompileOptions, GccVersion, LibraryVersion, OptLevel};
-
-fn extract_main_function(program: &nv_isa::Program) -> BTreeSet<u64> {
-    let mut enclave = Enclave::new(program.clone());
-    let mut core = Core::new(UarchConfig::default());
-    let extracted = NvSupervisor::default()
-        .extract_trace(&mut enclave, &mut core)
-        .expect("extraction");
-    trace::slice_extracted(&extracted)
-        .into_iter()
-        .max_by_key(|f| f.len())
-        .map(|f| f.offset_set())
-        .expect("at least one function sliced")
-}
 
 fn image(options: &CompileOptions) -> nv_victims::compile::CompiledFunction {
     compile_gcd(options, VirtAddr::new(0x40_0000), 0xbeef_1235, 65537).expect("compiles")
@@ -32,7 +20,7 @@ fn image(options: &CompileOptions) -> nv_victims::compile::CompiledFunction {
 #[test]
 fn gcd_ranks_first_among_corpus_decoys() {
     let gcd = image(&CompileOptions::default());
-    let victim_set = extract_main_function(gcd.program());
+    let victim_set = nv_s_main_function_set(gcd.program());
 
     let mut fp = Fingerprinter::new();
     fp.add_reference(ReferenceFunction::new("gcd", gcd.static_pc_offsets()));
@@ -95,8 +83,8 @@ fn figure13_version_block_structure() {
         opt,
         gcc,
     });
-    let legacy_set = extract_main_function(legacy.program());
-    let modern_set = extract_main_function(modern.program());
+    let legacy_set = nv_s_main_function_set(legacy.program());
+    let modern_set = nv_s_main_function_set(modern.program());
     let legacy_ref: BTreeSet<u64> = legacy.static_pc_offsets().into_iter().collect();
     let modern_ref: BTreeSet<u64> = modern.static_pc_offsets().into_iter().collect();
 
@@ -122,7 +110,7 @@ fn figure13_optimization_diagonal() {
         .collect();
     let sets: Vec<BTreeSet<u64>> = images
         .iter()
-        .map(|img| extract_main_function(img.program()))
+        .map(|img| nv_s_main_function_set(img.program()))
         .collect();
     let refs: Vec<BTreeSet<u64>> = images
         .iter()
@@ -154,7 +142,7 @@ fn gcc_version_does_not_move_the_fingerprint() {
                 opt: OptLevel::O2,
                 gcc,
             });
-            let set = extract_main_function(img.program());
+            let set = nv_s_main_function_set(img.program());
             let reference: BTreeSet<u64> = img.static_pc_offsets().into_iter().collect();
             similarity(&set, &reference)
         })
@@ -190,7 +178,6 @@ fn nv_s_follows_code_across_pages() {
     // fault handler (set the next page executable, re-prime, re-step) has
     // to keep every measurement aligned.
     use nv_isa::{Assembler, Reg};
-    use nv_os::StepExit;
 
     let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
     asm.mov_ri(Reg::R0, 1);
@@ -205,18 +192,7 @@ fn nv_s_follows_code_across_pages() {
     asm.ret();
     let program = asm.finish().unwrap();
 
-    // Ground truth.
-    let mut truth = Vec::new();
-    {
-        let mut enclave = Enclave::new(program.clone());
-        let mut core = Core::new(UarchConfig::default());
-        loop {
-            truth.push(enclave.ground_truth_pc());
-            if !matches!(enclave.single_step(&mut core).exit, StepExit::Retired) {
-                break;
-            }
-        }
-    }
+    let truth = Enclave::ground_truth_trace(program.clone(), UarchConfig::default());
 
     let mut enclave = Enclave::new(program.clone());
     assert_eq!(enclave.code_pages().len(), 2, "two code pages");
