@@ -24,6 +24,9 @@ cargo test -q --release --offline --features proptest --test resilience --test c
 cargo test -q --release --offline -p nv-serve
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc must build warning-free: an intra-doc link to an item that was
+# made private or renamed fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Noise-robustness smoke: the sweep binary's own assertions gate clean
 # accuracy at 100% and the paper-calibrated robust floor at 95%; on top,

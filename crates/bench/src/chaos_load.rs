@@ -20,7 +20,7 @@
 //!
 //! Everything is deterministic up to scheduling: the fault schedule is
 //! a pure function of [`CHAOS_SEED`] and the job population is a pure
-//! function of [`SEED_BASE`](crate::serve_load::SEED_BASE).
+//! function of [`SEED_BASE`].
 
 use std::path::Path;
 use std::time::Duration;

@@ -1,27 +1,29 @@
-//! Zero-dependency campaign checkpointing.
+//! Zero-dependency campaign checkpointing on one crash-tolerant log.
 //!
-//! A [`CampaignCheckpoint`] is an append-only JSONL file recording the
-//! results of completed trials so an interrupted campaign can be resumed
-//! without redoing finished work ([`Campaign::resume`]). The format is
-//! built for crash tolerance, not generality:
+//! [`FramedLog`] owns the line format and the torn-tail policy; the
+//! [`CampaignCheckpoint`] here and the `nv-serve` job journal are record
+//! schemas on top of it.
 //!
-//! * **Framing** — every line is `{"len": N, "crc": C, "body": {...}}`
+//! * **Framing** — every line is `{"len": N, "crc": C, "body": {...}}\n`
 //!   where `N` is the body's byte length and `C` its FNV-1a 64 checksum.
-//!   A record torn by a crash mid-append fails the frame check and is
-//!   dropped instead of poisoning the resume; records *after* the first
-//!   bad one are dropped too, because an append-only log has nothing
-//!   trustworthy past its first tear. The damage is surfaced as a typed
-//!   [`ResumeReport`] (and, on observed resume paths, as an
-//!   `nv_obs::ObsEvent::CheckpointTorn` metric) — never as an stderr
-//!   warning a daemonized server would lose.
-//! * **Keying** — the first line is a header carrying the campaign's
-//!   master seed, trial count and a caller-supplied config fingerprint
-//!   ([`CheckpointKey`]). Opening a checkpoint under a different key is a
-//!   typed error, so results from one experiment can never silently leak
-//!   into another.
-//! * **Payloads** — trial results are stored as caller-encoded strings
-//!   (escaped into JSON). The resume path re-decodes them; a trial whose
-//!   payload fails to decode is simply re-run.
+//!   A record is durable only with its newline: a line whose frame check
+//!   fails, or a final line that never got its `\n`, is torn. The first
+//!   torn line and every line after it are dropped (an append-only log
+//!   has nothing trustworthy past its first tear) and physically
+//!   truncated, so the next append lands on an intact log. The damage is
+//!   surfaced as a typed [`ResumeReport`] (and, on observed resume paths,
+//!   as an `nv_obs::ObsEvent::CheckpointTorn` metric) — never as an
+//!   stderr warning a daemonized server would lose.
+//! * **Keying** — a [`CampaignCheckpoint`]'s first line is a header
+//!   carrying the campaign's master seed, trial count and a
+//!   caller-supplied config fingerprint ([`CheckpointKey`]). Opening a
+//!   checkpoint under a different key is a typed error that leaves the
+//!   file untouched, so results from one experiment can never silently
+//!   leak into another.
+//! * **Payloads** — a checkpoint records completed trials' results as
+//!   caller-encoded strings (escaped into JSON), so an interrupted
+//!   campaign resumes without redoing them ([`Campaign::resume`]); a
+//!   trial whose payload fails to decode is simply re-run.
 //!
 //! Everything is hand-rolled `std`: no serde, no external crates, per the
 //! workspace's offline-build constraint.
@@ -32,11 +34,11 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use nv_obs::export::{escape, unescape};
+use nv_obs::export::{escape, field_str, field_u64};
 
 /// Format magic carried in every checkpoint header.
 pub const CHECKPOINT_MAGIC: &str = "nv-campaign-checkpoint-v1";
@@ -52,10 +54,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// What [`CampaignCheckpoint::open`] had to drop to recover a usable
-/// record set: the torn/corrupt trailing records of a crashed append, if
-/// any. Returned typed (instead of warned on stderr) so a long-running
-/// server can surface it in metrics.
+/// What [`FramedLog::open`] had to drop to recover a usable record set:
+/// the torn/corrupt trailing records of a crashed append, if any.
+/// Returned typed (instead of warned on stderr) so a long-running server
+/// can surface it in metrics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ResumeReport {
     /// Trailing records dropped as torn or corrupt.
@@ -143,20 +145,117 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+/// An append-only file of framed lines (see the module docs): the one
+/// owner of the line format and the torn-tail policy. Appends go through
+/// an internal mutex, so a shared `&FramedLog` is safe on every thread.
+#[derive(Debug)]
+pub struct FramedLog {
+    path: PathBuf,
+    writer: Mutex<File>,
+}
+
+impl FramedLog {
+    /// Opens (creating if absent) the log at `path`, handing each line to
+    /// `take` in order: `Some(body)` for an intact frame, `None` for a
+    /// torn, corrupt or newline-less one. `take` answers `Ok(true)` to
+    /// keep the line and `Ok(false)` to treat it and everything after it
+    /// as torn; that tail is counted in the returned [`ResumeReport`] and
+    /// truncated away. An `Err` from `take` refuses the file and leaves it
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// `take`'s error, or an I/O failure reading, repairing or opening
+    /// the file.
+    pub fn open<E: From<std::io::Error>>(
+        path: impl AsRef<Path>,
+        mut take: impl FnMut(Option<&str>) -> Result<bool, E>,
+    ) -> Result<(FramedLog, ResumeReport), E> {
+        let path = path.as_ref().to_path_buf();
+        // Bytes, not a `String`: a tear can split a multi-byte character,
+        // and that must fail one line's frame check, not the whole read.
+        let existing = match std::fs::read(&path) {
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read?,
+        };
+        let mut kept = 0;
+        for line in existing.split_inclusive(|&b| b == b'\n') {
+            let text = line
+                .strip_suffix(b"\n")
+                .and_then(|line| std::str::from_utf8(line).ok());
+            if !take(text.and_then(parse_frame))? {
+                break;
+            }
+            kept += line.len();
+        }
+        let tail = &existing[kept..];
+        let report = ResumeReport {
+            dropped_records: tail.split_inclusive(|&b| b == b'\n').count(),
+            dropped_bytes: tail.len() as u64,
+        };
+        let writer = OpenOptions::new().create(true).append(true).open(&path)?;
+        // Physically truncate what was not kept: left in place, the torn
+        // tail would glue the next append onto garbage and lose every
+        // later record at the *next* open.
+        if report.is_torn() {
+            writer.set_len(kept as u64)?;
+        }
+        let writer = Mutex::new(writer);
+        Ok((FramedLog { path, writer }, report))
+    }
+
+    /// The log's file path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Appends one framed record. The whole line, newline included,
+    /// lands in one `write_all`, so a crash can tear at most the final
+    /// record — exactly what [`FramedLog::open`] drops.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures.
+    pub fn append(&self, body: &str) -> std::io::Result<()> {
+        let line = frame(body);
+        let mut writer = self.writer.lock().expect("framed log writer poisoned");
+        writer.write_all(line.as_bytes())?;
+        writer.flush()
+    }
+}
+
+/// Wraps a record body in the line format.
+fn frame(body: &str) -> String {
+    format!(
+        "{{\"len\": {}, \"crc\": {}, \"body\": {body}}}\n",
+        body.len(),
+        fnv1a64(body.as_bytes())
+    )
+}
+
+/// Validates one line's framing ([`frame`]'s inverse, newline stripped)
+/// and returns the body; `None` on a torn or checksum-failing line.
+fn parse_frame(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix("{\"len\": ")?;
+    let (len, rest) = rest.split_once(", \"crc\": ")?;
+    let (crc, rest) = rest.split_once(", \"body\": ")?;
+    let body = rest.strip_suffix('}')?;
+    (len.parse() == Ok(body.len()) && crc.parse() == Ok(fnv1a64(body.as_bytes()))).then_some(body)
+}
+
 /// An open, validated campaign checkpoint: the completed-trial records
 /// loaded at open time plus an append handle for new completions.
 ///
-/// Appends go through an internal mutex, so a shared `&CampaignCheckpoint`
-/// is safe to use from every campaign worker. The in-memory view is a
-/// snapshot from open time; re-open the file to observe records appended
-/// since (the resume path does exactly that).
+/// Appends are thread-safe ([`FramedLog::append`]), so a shared
+/// `&CampaignCheckpoint` is safe to use from every campaign worker. The
+/// in-memory view is a snapshot from open time; re-open the file to
+/// observe records appended since (the resume path does exactly that).
 #[derive(Debug)]
 pub struct CampaignCheckpoint {
-    path: PathBuf,
     key: CheckpointKey,
     completed: BTreeMap<usize, String>,
     report: ResumeReport,
-    writer: Mutex<File>,
+    log: FramedLog,
 }
 
 impl CampaignCheckpoint {
@@ -173,88 +272,54 @@ impl CampaignCheckpoint {
     ///
     /// [`CheckpointError::KeyMismatch`] if the file belongs to a different
     /// campaign, [`CheckpointError::BadHeader`] if it is not a checkpoint
-    /// at all, [`CheckpointError::Io`] on filesystem failure.
+    /// at all, [`CheckpointError::Io`] on filesystem failure. A refused
+    /// file is left untouched.
     pub fn open(path: impl AsRef<Path>, key: CheckpointKey) -> Result<Self, CheckpointError> {
-        let path = path.as_ref().to_path_buf();
-        let mut existing = String::new();
-        match File::open(&path) {
-            Ok(mut file) => {
-                file.read_to_string(&mut existing)?;
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-            Err(err) => return Err(err.into()),
-        }
-
+        let path = path.as_ref();
         let mut completed = BTreeMap::new();
-        let mut report = ResumeReport::default();
-        let mut fresh = true;
-        if !existing.is_empty() {
-            fresh = false;
-            let total_lines = existing.split_terminator('\n').count();
-            let mut lines = existing.split_terminator('\n');
-            let header_line = lines
-                .next()
-                .ok_or_else(|| CheckpointError::BadHeader { path: path.clone() })?;
-            let header = parse_frame(header_line)
-                .and_then(parse_header)
-                .ok_or_else(|| CheckpointError::BadHeader { path: path.clone() })?;
-            if header != key {
-                return Err(CheckpointError::KeyMismatch {
-                    expected: key,
-                    found: header,
-                });
+        let mut has_header = false;
+        let (log, report) = FramedLog::open(path, |body| {
+            if !has_header {
+                // A first line that is not an intact header is not a
+                // checkpoint (or tore before the header landed): refused,
+                // never truncated.
+                has_header = true;
+                return match body.and_then(parse_header) {
+                    Some(found) if found == key => Ok(true),
+                    Some(found) => Err(CheckpointError::KeyMismatch {
+                        expected: key,
+                        found,
+                    }),
+                    None => Err(CheckpointError::BadHeader {
+                        path: path.to_path_buf(),
+                    }),
+                };
             }
-            // Bytes covered by the header and every validated record;
-            // whatever the file holds beyond that is the torn tail. Every
-            // intact line ends in '\n' (the frame appends it), so +1 per
-            // retained line is exact.
-            let mut retained_bytes = header_line.len() + 1;
-            let mut good = 0usize;
-            for line in lines {
-                match parse_frame(line).and_then(parse_record) {
-                    Some((trial, data)) if (trial as u64) < key.trials => {
-                        // Later duplicates win: a record re-appended after
-                        // a resume supersedes the original.
-                        completed.insert(trial, data);
-                        retained_bytes += line.len() + 1;
-                        good += 1;
-                    }
-                    // A torn frame, a checksum failure, or an out-of-range
-                    // index that happened to pass the checksum: everything
-                    // from here on is untrustworthy in an append-only log.
-                    _ => break,
+            match body.and_then(parse_record) {
+                Some((trial, data)) if (trial as u64) < key.trials => {
+                    // Later duplicates win: a record re-appended after a
+                    // resume supersedes the original.
+                    completed.insert(trial, data);
+                    Ok(true)
                 }
+                // A torn frame, a checksum failure, or an out-of-range
+                // index that happened to pass the checksum: everything
+                // from here on is untrustworthy in an append-only log.
+                _ => Ok(false),
             }
-            report.dropped_records = total_lines - 1 - good;
-            report.dropped_bytes = (existing.len().saturating_sub(retained_bytes)) as u64;
-            // Physically truncate what we refused to trust: leaving the
-            // torn tail in place would glue the next append onto garbage,
-            // silently losing every post-recovery record at the *next*
-            // open — fatal for a server resuming the same job across
-            // repeated kills.
-            if report.dropped_bytes > 0 {
-                let repair = OpenOptions::new().write(true).open(&path)?;
-                repair.set_len(retained_bytes as u64)?;
-            }
-        }
-
-        let mut writer = OpenOptions::new().create(true).append(true).open(&path)?;
-        if fresh {
-            let body = format!(
+        })?;
+        if !has_header {
+            log.append(&format!(
                 "{{\"magic\": \"{CHECKPOINT_MAGIC}\", \"seed\": {}, \"trials\": {}, \
                  \"config\": {}}}",
                 key.master_seed, key.trials, key.config_fingerprint
-            );
-            writer.write_all(frame(&body).as_bytes())?;
-            writer.flush()?;
+            ))?;
         }
-
         Ok(CampaignCheckpoint {
-            path,
             key,
             completed,
             report,
-            writer: Mutex::new(writer),
+            log,
         })
     }
 
@@ -265,7 +330,7 @@ impl CampaignCheckpoint {
 
     /// The checkpoint's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Number of completed-trial records loaded at open time.
@@ -294,80 +359,33 @@ impl CampaignCheckpoint {
         self.report
     }
 
-    /// Appends a completed trial's encoded result. Thread-safe; the whole
-    /// framed line lands in one `write_all`, so a crash can tear at most
-    /// the final record — exactly what the loader tolerates.
+    /// Appends a completed trial's encoded result ([`FramedLog::append`]:
+    /// thread-safe, one `write_all` per record).
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn append(&self, trial: usize, data: &str) -> std::io::Result<()> {
-        let body = format!("{{\"trial\": {trial}, \"data\": \"{}\"}}", escape(data));
-        let line = frame(&body);
-        let mut writer = self.writer.lock().expect("checkpoint writer poisoned");
-        writer.write_all(line.as_bytes())?;
-        writer.flush()
+        self.log.append(&format!(
+            "{{\"trial\": {trial}, \"data\": \"{}\"}}",
+            escape(data)
+        ))
     }
-}
-
-/// Wraps a record body in the length- and checksum-framed line format
-/// (`{"len": N, "crc": C, "body": ...}\n`). Public so other append-only
-/// stores — the `nv-serve` job journal — share the checkpoint's
-/// crash-tolerance framing instead of inventing their own.
-pub fn frame(body: &str) -> String {
-    format!(
-        "{{\"len\": {}, \"crc\": {}, \"body\": {body}}}\n",
-        body.len(),
-        fnv1a64(body.as_bytes())
-    )
-}
-
-/// Validates one line's framing ([`frame`]'s inverse) and returns the
-/// body on success; `None` on a torn, truncated or checksum-failing line.
-pub fn parse_frame(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix("{\"len\": ")?;
-    let (len, rest) = take_u64(rest)?;
-    let rest = rest.strip_prefix(", \"crc\": ")?;
-    let (crc, rest) = take_u64(rest)?;
-    let rest = rest.strip_prefix(", \"body\": ")?;
-    let body = rest.strip_suffix('}')?;
-    (body.len() as u64 == len && fnv1a64(body.as_bytes()) == crc).then_some(body)
 }
 
 /// Parses a header body into its key.
 fn parse_header(body: &str) -> Option<CheckpointKey> {
-    let rest = body.strip_prefix("{\"magic\": \"")?;
-    let rest = rest.strip_prefix(CHECKPOINT_MAGIC)?;
-    let rest = rest.strip_prefix("\", \"seed\": ")?;
-    let (master_seed, rest) = take_u64(rest)?;
-    let rest = rest.strip_prefix(", \"trials\": ")?;
-    let (trials, rest) = take_u64(rest)?;
-    let rest = rest.strip_prefix(", \"config\": ")?;
-    let (config_fingerprint, rest) = take_u64(rest)?;
-    (rest == "}").then_some(CheckpointKey {
-        master_seed,
-        trials,
-        config_fingerprint,
+    (field_str(body, "magic")? == CHECKPOINT_MAGIC).then_some(CheckpointKey {
+        master_seed: field_u64(body, "seed")?,
+        trials: field_u64(body, "trials")?,
+        config_fingerprint: field_u64(body, "config")?,
     })
 }
 
 /// Parses a completed-trial record body.
 fn parse_record(body: &str) -> Option<(usize, String)> {
-    let rest = body.strip_prefix("{\"trial\": ")?;
-    let (trial, rest) = take_u64(rest)?;
-    let rest = rest.strip_prefix(", \"data\": \"")?;
-    let escaped = rest.strip_suffix("\"}")?;
-    Some((usize::try_from(trial).ok()?, unescape(escaped)?))
-}
-
-/// Consumes a decimal u64 prefix.
-fn take_u64(text: &str) -> Option<(u64, &str)> {
-    let digits = text.len() - text.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    if digits == 0 {
-        return None;
-    }
-    let value = text[..digits].parse().ok()?;
-    Some((value, &text[digits..]))
+    let trial = usize::try_from(field_u64(body, "trial")?).ok()?;
+    Some((trial, field_str(body, "data")?))
 }
 
 #[cfg(test)]
@@ -416,6 +434,7 @@ mod tests {
             master_seed: 0x9999,
             ..key()
         };
+        let before = std::fs::read(&path).unwrap();
         match CampaignCheckpoint::open(&path, other) {
             Err(CheckpointError::KeyMismatch { expected, found }) => {
                 assert_eq!(expected, other);
@@ -423,17 +442,27 @@ mod tests {
             }
             other => panic!("expected KeyMismatch, got {other:?}"),
         }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "a refused open must not touch the file"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn non_checkpoint_file_is_a_bad_header() {
         let path = temp_path("badheader");
-        std::fs::write(&path, "this is not a checkpoint\n").unwrap();
-        assert!(matches!(
-            CampaignCheckpoint::open(&path, key()),
-            Err(CheckpointError::BadHeader { .. })
-        ));
+        // With and without a final newline: a file that is not a
+        // checkpoint is refused, never truncated as a torn tail.
+        for text in ["this is not a checkpoint\n", "no newline at all"] {
+            std::fs::write(&path, text).unwrap();
+            assert!(matches!(
+                CampaignCheckpoint::open(&path, key()),
+                Err(CheckpointError::BadHeader { .. })
+            ));
+            assert_eq!(std::fs::read(&path).unwrap(), text.as_bytes());
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -454,6 +483,55 @@ mod tests {
         assert_eq!(ckpt.completed_trials(), 2);
         assert_eq!(ckpt.dropped_records(), 1);
         assert_eq!(ckpt.data(2), Some("two"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_missing_only_its_newline_is_torn() {
+        let path = temp_path("newline");
+        {
+            let ckpt = CampaignCheckpoint::open(&path, key()).unwrap();
+            ckpt.append(1, "one").unwrap();
+            ckpt.append(2, "two").unwrap();
+        }
+        // A crash between the record's last body byte and its newline:
+        // the frame still checks, but the record was never durable.
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.pop(), Some(b'\n'));
+        std::fs::write(&path, &bytes).unwrap();
+        let ckpt = CampaignCheckpoint::open(&path, key()).unwrap();
+        assert!(!ckpt.has(2));
+        assert_eq!(ckpt.dropped_records(), 1);
+        ckpt.append(3, "three").unwrap();
+        ckpt.append(4, "four").unwrap();
+        drop(ckpt);
+        // Appends after the repair were not glued onto the torn record.
+        let ckpt = CampaignCheckpoint::open(&path, key()).unwrap();
+        assert_eq!(ckpt.resume_report(), ResumeReport::default());
+        assert_eq!(ckpt.completed_trials(), 3);
+        assert_eq!(ckpt.data(1), Some("one"));
+        assert_eq!(ckpt.data(3), Some("three"));
+        assert_eq!(ckpt.data(4), Some("four"));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_tear_inside_a_multibyte_character_is_dropped() {
+        let path = temp_path("utf8");
+        {
+            let ckpt = CampaignCheckpoint::open(&path, key()).unwrap();
+            ckpt.append(1, "one").unwrap();
+            ckpt.append(2, "caf\u{e9}").unwrap();
+        }
+        // Cut after the first byte of the two-byte 'é'.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let lead = bytes.iter().rposition(|&b| b == 0xc3).unwrap();
+        bytes.truncate(lead + 1);
+        std::fs::write(&path, &bytes).unwrap();
+        let ckpt = CampaignCheckpoint::open(&path, key()).unwrap();
+        assert_eq!(ckpt.dropped_records(), 1);
+        assert_eq!(ckpt.data(1), Some("one"));
+        assert!(!ckpt.has(2));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -534,6 +612,17 @@ mod tests {
         assert_eq!(ckpt.completed_trials(), 0);
         assert_eq!(ckpt.dropped_records(), 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // The on-disk format: changing it strands every existing file.
+        let body = "{\"trial\": 7, \"data\": \"x\"}";
+        assert_eq!(
+            frame(body),
+            "{\"len\": 25, \"crc\": 8953197420222766420, \"body\": {\"trial\": 7, \"data\": \"x\"}}\n"
+        );
+        assert_eq!(parse_frame(frame(body).trim_end()), Some(body));
     }
 
     #[test]

@@ -28,14 +28,15 @@ use crate::error::{AttackError, ProbeFailureCause};
 use crate::pw::PwSpec;
 use crate::rig::{AttackerRig, Resilience};
 
+/// Per-run step budget (defensive bound against wedged enclaves).
+const MAX_STEPS: usize = 200_000;
+
 /// Configuration of the NV-S attack.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SupervisorConfig {
     /// Windows primed per NV-Core call in the discovery pass (`N` of
     /// Fig. 10; the first pass takes `128 / N` enclave executions).
     pub windows_per_call: usize,
-    /// Per-run step budget (defensive bound against wedged enclaves).
-    pub max_steps: usize,
     /// §6.3 candidate disambiguation: when a step's measured PC equals the
     /// *next* step's, the earlier one is (almost always) the speculated
     /// branch target that the next step then architecturally reached —
@@ -53,7 +54,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             windows_per_call: 8,
-            max_steps: 200_000,
             rule_out_repeats: true,
             resilience: Resilience::none(),
         }
@@ -279,7 +279,7 @@ impl NvSupervisor {
         }
         let mut steps = Vec::new();
         let mut current_page = None;
-        for _ in 0..self.config.max_steps {
+        for _ in 0..MAX_STEPS {
             AttackError::check_deadline(core)?;
             match enclave.single_step(core) {
                 step if matches!(step.exit, StepExit::PageFault { .. }) => {
@@ -319,8 +319,8 @@ impl NvSupervisor {
         }
         Err(AttackError::probe_failed(
             ProbeFailureCause::StepBudgetExhausted {
-                consumed: self.config.max_steps as u64,
-                limit: self.config.max_steps as u64,
+                consumed: MAX_STEPS as u64,
+                limit: MAX_STEPS as u64,
             },
         ))
     }
@@ -554,7 +554,7 @@ impl NvSupervisor {
         // Page faults are absorbed inside the step loop below, so each outer
         // iteration retires exactly one instruction and `index` can double as
         // the step budget counter.
-        for index in 0..self.config.max_steps {
+        for index in 0..MAX_STEPS {
             AttackError::check_deadline(core)?;
             if index >= schedule.steps() {
                 return Ok(());
@@ -623,8 +623,8 @@ impl NvSupervisor {
         }
         Err(AttackError::probe_failed(
             ProbeFailureCause::StepBudgetExhausted {
-                consumed: self.config.max_steps as u64,
-                limit: self.config.max_steps as u64,
+                consumed: MAX_STEPS as u64,
+                limit: MAX_STEPS as u64,
             },
         ))
     }

@@ -412,13 +412,13 @@ impl AttackerRig {
     }
 
     /// Calibrates the no-victim baseline: primes, then samples
-    /// [`CALIBRATION_PASSES`] quiet probe passes and derives a per-window
+    /// `CALIBRATION_PASSES` (5) quiet probe passes and derives a per-window
     /// *adaptive margin* from the observed spread. Must be called once
     /// before [`AttackerRig::probe`].
     ///
     /// In a noise-free system every pass is identical, so the floor equals
     /// the legacy single-pass baseline and the margin stays at
-    /// [`BASE_MARGIN`] — the thresholds (and therefore every probe
+    /// `BASE_MARGIN` (4 cycles) — the thresholds (and therefore every probe
     /// decision) are unchanged. Under injected noise the margin widens to
     /// absorb the jitter the environment actually exhibits.
     ///

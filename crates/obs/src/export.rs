@@ -1,5 +1,6 @@
-//! Chrome trace-event export, and the JSON string escape every
-//! hand-rolled JSON writer in the workspace shares.
+//! Chrome trace-event export, and the JSON string escape and flat-body
+//! field readers every hand-rolled JSON writer and reader in the
+//! workspace shares.
 //!
 //! Renders recorders as a Chrome trace-event JSON document loadable in
 //! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`. Spans
@@ -64,6 +65,45 @@ pub fn unescape(escaped: &str) -> Option<String> {
         }
     }
     Some(out)
+}
+
+/// The text after `"key": ` in a flat object body (its first occurrence;
+/// string values are [`escape`]d, so field content cannot spoof a key).
+fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\": ");
+    Some(&body[body.find(&needle)? + needle.len()..])
+}
+
+/// Reads the decimal `u64` value of `"key"` in a flat object body.
+pub fn field_u64(body: &str, key: &str) -> Option<u64> {
+    let rest = field(body, key)?;
+    let digits = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..digits].parse().ok()
+}
+
+/// Reads and [`unescape`]s the string value of `"key"` in a flat object
+/// body.
+pub fn field_str(body: &str, key: &str) -> Option<String> {
+    let rest = field(body, key)?.strip_prefix('"')?;
+    // The closing quote is the first one no backslash escapes.
+    let mut escaped = false;
+    let end = rest.find(|c| {
+        let close = c == '"' && !escaped;
+        escaped = c == '\\' && !escaped;
+        close
+    })?;
+    unescape(&rest[..end])
+}
+
+/// Reads the boolean value of `"key"` in a flat object body.
+pub fn field_bool(body: &str, key: &str) -> Option<bool> {
+    match field(body, key)? {
+        rest if rest.starts_with("true") => Some(true),
+        rest if rest.starts_with("false") => Some(false),
+        _ => None,
+    }
 }
 
 fn push_track(out: &mut Vec<String>, tid: u32, label: &str, recorder: &Recorder) {

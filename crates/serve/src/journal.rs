@@ -1,8 +1,9 @@
 //! The server's crash journal: every admitted job is durable before the
 //! client hears "accepted".
 //!
-//! An append-only log of framed records (the same length- and
-//! FNV-checksummed line format as [`nightvision::checkpoint`]):
+//! A record schema on the workspace's one crash-tolerant log,
+//! [`FramedLog`] (the campaign checkpoint's line format and torn-tail
+//! policy):
 //!
 //! * `accept` — job id, tenant, full [`JobSpec`] and the client's
 //!   idempotency key, written at admission *before* the `Accepted`
@@ -20,21 +21,18 @@
 //! carries whatever trials already completed); `done` records serve
 //! status queries for jobs that finished in a previous life, and the
 //! idempotency keys of accept records are re-indexed so duplicate
-//! submissions stay duplicates across restarts. A torn tail — the crash
-//! landed mid-append — is dropped, counted, and physically truncated,
-//! exactly like a torn campaign checkpoint.
+//! submissions stay duplicates across restarts. A record is durable only
+//! with its newline: a torn tail — the crash landed mid-append, or before
+//! the final `\n` — is dropped, counted in a [`ResumeReport`] and
+//! physically truncated by [`FramedLog::open`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::Path;
 
-use nightvision::checkpoint::{frame, parse_frame};
-use nv_obs::export::escape;
+use nightvision::checkpoint::{FramedLog, ResumeReport};
+use nv_obs::export::{escape, field_str, field_u64};
 
 use crate::job::JobSpec;
-use crate::proto::{field_str, field_u64};
 
 /// One in-flight job recovered from the journal.
 #[derive(Clone, PartialEq, Debug)]
@@ -68,16 +66,13 @@ pub struct JournalState {
     /// replay, so its epoch is `boots + 1`.
     pub boots: u64,
     /// Torn/corrupt trailing records dropped (and truncated) at replay.
-    pub dropped_records: usize,
-    /// Bytes those records occupied.
-    pub dropped_bytes: u64,
+    pub report: ResumeReport,
 }
 
 /// The append half of the journal.
 #[derive(Debug)]
 pub struct JobJournal {
-    path: PathBuf,
-    writer: Mutex<File>,
+    log: FramedLog,
 }
 
 impl JobJournal {
@@ -90,27 +85,14 @@ impl JobJournal {
     /// never an error: replay stops at the first bad line, reports it in
     /// [`JournalState`], and truncates it away.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<(JobJournal, JournalState)> {
-        let path = path.as_ref().to_path_buf();
-        let mut existing = String::new();
-        match File::open(&path) {
-            Ok(mut file) => {
-                file.read_to_string(&mut existing)?;
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-            Err(err) => return Err(err),
-        }
-
         let mut state = JournalState {
             next_job: 1,
             ..JournalState::default()
         };
         let mut accepted: BTreeMap<u64, PendingJob> = BTreeMap::new();
-        let mut retained_bytes = 0usize;
-        let total_lines = existing.split_terminator('\n').count();
-        let mut good = 0usize;
-        for line in existing.split_terminator('\n') {
-            let Some(entry) = parse_frame(line).and_then(parse_record) else {
-                break;
+        let (log, report) = FramedLog::open(path, |body| {
+            let Some(entry) = body.and_then(parse_record) else {
+                return Ok::<_, std::io::Error>(false);
             };
             match entry {
                 Record::Accept(pending) => {
@@ -141,32 +123,16 @@ impl JobJournal {
                     state.boots += 1;
                 }
             }
-            retained_bytes += line.len() + 1;
-            good += 1;
-        }
-        state.dropped_records = total_lines - good;
-        state.dropped_bytes = (existing.len().saturating_sub(retained_bytes)) as u64;
-        if state.dropped_bytes > 0 {
-            // Same repair as the campaign checkpoint: truncate what we
-            // refused to trust so the next append lands on an intact log.
-            let repair = OpenOptions::new().write(true).open(&path)?;
-            repair.set_len(retained_bytes as u64)?;
-        }
+            Ok(true)
+        })?;
+        state.report = report;
         state.pending = accepted.into_values().collect();
-
-        let writer = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok((
-            JobJournal {
-                path,
-                writer: Mutex::new(writer),
-            },
-            state,
-        ))
+        Ok((JobJournal { log }, state))
     }
 
     /// The journal's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Records an admission. Flushed before returning, so a job the
@@ -187,7 +153,7 @@ impl JobJournal {
             escape(tenant),
             spec.encode_fields()
         );
-        self.append(&body)
+        self.log.append(&body)
     }
 
     /// Records a completion with its identity digest.
@@ -196,7 +162,7 @@ impl JobJournal {
     ///
     /// I/O failure.
     pub fn record_done(&self, job: u64, digest: u64) -> std::io::Result<()> {
-        self.append(&format!(
+        self.log.append(&format!(
             "{{\"rec\": \"done\", \"job\": {job}, \"digest\": {digest}}}"
         ))
     }
@@ -208,7 +174,8 @@ impl JobJournal {
     ///
     /// I/O failure.
     pub fn record_cancel(&self, job: u64) -> std::io::Result<()> {
-        self.append(&format!("{{\"rec\": \"cancel\", \"job\": {job}}}"))
+        self.log
+            .append(&format!("{{\"rec\": \"cancel\", \"job\": {job}}}"))
     }
 
     /// Records a server start. Called once by the server *after* replay —
@@ -219,13 +186,7 @@ impl JobJournal {
     ///
     /// I/O failure.
     pub fn record_boot(&self) -> std::io::Result<()> {
-        self.append("{\"rec\": \"boot\"}")
-    }
-
-    fn append(&self, body: &str) -> std::io::Result<()> {
-        let mut writer = self.writer.lock().expect("journal writer poisoned");
-        writer.write_all(frame(body).as_bytes())?;
-        writer.flush()
+        self.log.append("{\"rec\": \"boot\"}")
     }
 }
 
@@ -259,6 +220,9 @@ fn parse_record(body: &str) -> Option<Record> {
 
 #[cfg(test)]
 mod tests {
+    use std::fs::OpenOptions;
+    use std::path::PathBuf;
+
     use super::*;
     use crate::job::JobKind;
 
@@ -305,7 +269,7 @@ mod tests {
         assert_eq!(pending, vec![1, 3], "done jobs must not be re-queued");
         assert_eq!(state.pending[0].tenant, "acme");
         assert_eq!(state.pending[1].spec, spec(3));
-        assert_eq!(state.dropped_records, 0);
+        assert_eq!(state.report.dropped_records, 0);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -378,8 +342,8 @@ mod tests {
         }
         let (journal, state) = JobJournal::open(&path).unwrap();
         assert_eq!(state.pending.len(), 1);
-        assert_eq!(state.dropped_records, 1);
-        assert!(state.dropped_bytes > 0);
+        assert_eq!(state.report.dropped_records, 1);
+        assert!(state.report.dropped_bytes > 0);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact_len);
         // Post-repair appends survive the next replay.
         journal.record_done(1, 9).unwrap();
@@ -387,7 +351,37 @@ mod tests {
         let (_journal, state) = JobJournal::open(&path).unwrap();
         assert!(state.pending.is_empty());
         assert_eq!(state.done.get(&1), Some(&9));
-        assert_eq!(state.dropped_records, 0);
+        assert_eq!(state.report.dropped_records, 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_missing_only_its_newline_is_torn() {
+        let path = scratch("newline");
+        {
+            let (journal, _) = JobJournal::open(&path).unwrap();
+            journal.record_accept(1, "acme", &spec(1), 0).unwrap();
+            journal.record_accept(2, "acme", &spec(2), 0).unwrap();
+        }
+        // A crash between the record's last body byte and its newline:
+        // the frame still checks, but the record was never durable.
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.pop(), Some(b'\n'));
+        std::fs::write(&path, &bytes).unwrap();
+        let (journal, state) = JobJournal::open(&path).unwrap();
+        let pending: Vec<u64> = state.pending.iter().map(|p| p.job).collect();
+        assert_eq!(pending, vec![1]);
+        assert_eq!(state.report.dropped_records, 1);
+        journal.record_done(1, 9).unwrap();
+        journal.record_accept(3, "acme", &spec(3), 0).unwrap();
+        drop(journal);
+        // Appends after the repair were not glued onto the torn record.
+        let (_journal, state) = JobJournal::open(&path).unwrap();
+        assert_eq!(state.report, ResumeReport::default());
+        assert_eq!(state.done.get(&1), Some(&9));
+        let pending: Vec<u64> = state.pending.iter().map(|p| p.job).collect();
+        assert_eq!(pending, vec![3]);
+        assert_eq!(state.next_job, 4, "job ids must never be reissued");
         let _ = std::fs::remove_file(&path);
     }
 }

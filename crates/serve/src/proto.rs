@@ -12,57 +12,12 @@
 //! Decoders are total: any missing or ill-typed field becomes
 //! [`WireError::BadMessage`], never a panic.
 
-use nv_obs::export::{escape, unescape};
+use std::ops::RangeInclusive;
+
+use nv_obs::export::{escape, field_bool, field_str, field_u64};
 
 use crate::job::{JobKind, JobSpec};
 use crate::wire::WireError;
-
-/// Extracts the raw text after `"key": ` in a flat object body, up to
-/// (not including) the value's end. Number values only.
-pub(crate) fn field_u64(body: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    if digits == 0 {
-        return None;
-    }
-    rest[..digits].parse().ok()
-}
-
-/// Extracts and unescapes a string field.
-pub(crate) fn field_str(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    // Scan for the closing quote, honouring escapes.
-    let mut end = None;
-    let mut escaped = false;
-    for (i, ch) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if ch == '\\' {
-            escaped = true;
-        } else if ch == '"' {
-            end = Some(i);
-            break;
-        }
-    }
-    unescape(&rest[..end?])
-}
-
-pub(crate) fn field_bool(body: &str, key: &str) -> Option<bool> {
-    let needle = format!("\"{key}\": ");
-    let start = body.find(&needle)? + needle.len();
-    let rest = &body[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
 
 pub(crate) fn missing(key: &str) -> WireError {
     WireError::BadMessage {
@@ -568,7 +523,8 @@ impl JobSpec {
     /// # Errors
     ///
     /// [`WireError::BadMessage`] on a missing or ill-typed field, an
-    /// unknown kind, or a zero trial count.
+    /// unknown kind, or a trial count, thread count or flake rate out of
+    /// range ([`MAX_TRIALS`], [`MAX_THREADS`], at most one million ppm).
     pub fn decode_fields(body: &str) -> Result<JobSpec, WireError> {
         let kind = match field_str(body, "kind")
             .ok_or_else(|| missing("kind"))?
@@ -582,24 +538,37 @@ impl JobSpec {
                 })
             }
         };
-        let trials = field_u64(body, "trials").ok_or_else(|| missing("trials"))?;
-        if trials == 0 {
-            return Err(WireError::BadMessage {
-                detail: "a job must have at least one trial".to_string(),
-            });
-        }
         Ok(JobSpec {
             kind,
-            trials: trials as usize,
+            trials: field_in(body, "trials", 1..=MAX_TRIALS)? as usize,
             master_seed: field_u64(body, "seed").ok_or_else(|| missing("seed"))?,
-            threads: field_u64(body, "threads").ok_or_else(|| missing("threads"))? as usize,
+            threads: field_in(body, "threads", 0..=MAX_THREADS)? as usize,
             deadline_steps: field_u64(body, "deadline_steps")
                 .ok_or_else(|| missing("deadline_steps"))?,
             retry_budget: field_u64(body, "retry_budget").ok_or_else(|| missing("retry_budget"))?
                 as usize,
-            flake_ppm: field_u64(body, "flake_ppm").ok_or_else(|| missing("flake_ppm"))? as u32,
+            flake_ppm: field_in(body, "flake_ppm", 0..=1_000_000)? as u32,
         })
     }
+}
+
+/// Most trials one job may ask for (ten times the largest job any caller
+/// builds): a job allocates per-trial state before it runs, and a restart
+/// replays its journaled spec.
+pub const MAX_TRIALS: u64 = 1_000_000;
+
+/// Most campaign worker threads (OS threads) one job may ask for.
+pub const MAX_THREADS: u64 = 64;
+
+/// Reads a number field that must lie in `range`.
+fn field_in(body: &str, key: &str, range: RangeInclusive<u64>) -> Result<u64, WireError> {
+    let value = field_u64(body, key).ok_or_else(|| missing(key))?;
+    range
+        .contains(&value)
+        .then_some(value)
+        .ok_or_else(|| WireError::BadMessage {
+            detail: format!("field \"{key}\" is {value}, outside {range:?}"),
+        })
 }
 
 #[cfg(test)]
@@ -769,5 +738,42 @@ mod tests {
                 "{bad:?} must decode to BadMessage, got {req:?} / {resp:?}"
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_job_specs_are_rejected() {
+        // Decoding only: none of these specs is ever run.
+        let decode = |edit: fn(&mut JobSpec)| {
+            let mut spec = spec();
+            edit(&mut spec);
+            JobSpec::decode_fields(&spec.encode_fields()).map(|_| ())
+        };
+        for ok in [
+            (|s: &mut JobSpec| s.trials = 100_000) as fn(&mut JobSpec),
+            |s| s.trials = MAX_TRIALS as usize,
+            |s| s.threads = 0,
+            |s| s.threads = MAX_THREADS as usize,
+            |s| s.flake_ppm = 1_000_000,
+        ] {
+            assert_eq!(decode(ok), Ok(()));
+        }
+        for bad in [
+            (|s: &mut JobSpec| s.trials = 0) as fn(&mut JobSpec),
+            |s| s.trials = MAX_TRIALS as usize + 1,
+            |s| s.trials = 1_000_000_000_000,
+            |s| s.threads = MAX_THREADS as usize + 1,
+            |s| s.threads = 100_000,
+            |s| s.flake_ppm = 1_000_001,
+        ] {
+            assert!(matches!(decode(bad), Err(WireError::BadMessage { .. })));
+        }
+        // A rate past u32 must be refused, not wrapped into range.
+        let wrapping = spec()
+            .encode_fields()
+            .replace("\"flake_ppm\": 250000", "\"flake_ppm\": 4294967396");
+        assert!(matches!(
+            JobSpec::decode_fields(&wrapping),
+            Err(WireError::BadMessage { .. })
+        ));
     }
 }

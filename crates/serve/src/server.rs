@@ -955,10 +955,10 @@ impl Server {
             recorder: Mutex::new(Recorder::new(1024)),
             epoch,
         });
-        if replay.dropped_records > 0 {
+        if replay.report.is_torn() {
             inner.observe(ObsEvent::CheckpointTorn {
-                records: replay.dropped_records as u64,
-                bytes: replay.dropped_bytes,
+                records: replay.report.dropped_records as u64,
+                bytes: replay.report.dropped_bytes,
             });
         }
         for pending in &replay.pending {

@@ -39,8 +39,8 @@ use nv_rand::Rng;
 
 use crate::config::BtbGeometry;
 
-/// Fault-injection configuration. See the [module docs](self) for the
-/// model behind each knob.
+/// Fault-injection configuration. The `perturb` module docs describe
+/// the model behind each knob.
 ///
 /// # Examples
 ///
