@@ -142,8 +142,10 @@ EOF
 # baseline) and client session resume across a SIGKILL behind the proxy;
 # on top, the emitted JSON must parse, the quiet control cell must have
 # injected nothing, at least one cell must have injected something, and
-# the drill must hold at worker counts 1/2/8.
-./target/release/repro_chaos --smoke
+# the drill must hold at worker counts 1/2/8. The smoke takes about 11 s;
+# `timeout 60` fails a connection that waits out the server's 60 s idle
+# deadline instead of letting it pass slowly.
+timeout 60 ./target/release/repro_chaos --smoke
 python3 -m json.tool target/BENCH_chaos_smoke.json > /dev/null
 python3 - <<'EOF'
 import json

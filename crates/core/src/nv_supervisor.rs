@@ -17,8 +17,6 @@
 //!    the lowest matched window, then a final ±1-byte disambiguation that
 //!    exploits the lookup's `offset ≥ PC` lower bound (Takeaway 2).
 
-use std::ops::Range;
-
 use nv_isa::{VirtAddr, BLOCK_BYTES, PAGE_BYTES};
 use nv_obs::Phase;
 use nv_os::{Enclave, StepExit};
@@ -26,7 +24,7 @@ use nv_uarch::Core;
 
 use crate::error::{AttackError, ProbeFailureCause};
 use crate::pw::PwSpec;
-use crate::rig::{AttackerRig, Resilience};
+use crate::rig::AttackerRig;
 
 /// Per-run step budget (defensive bound against wedged enclaves).
 const MAX_STEPS: usize = 200_000;
@@ -42,12 +40,6 @@ pub struct SupervisorConfig {
     /// branch target that the next step then architecturally reached —
     /// "ruling out the repeated candidates". Ruled-out steps report no PC.
     pub rule_out_repeats: bool,
-    /// Noise resilience. `votes > 1` repeats every extraction run that
-    /// many times — the enclave re-executes deterministically, so whole
-    /// runs are NV-S's natural voting unit — and majority-votes each
-    /// step's window matches; `retry_budget` re-runs failed passes before
-    /// giving up with [`AttackError::RetriesExhausted`].
-    pub resilience: Resilience,
 }
 
 impl Default for SupervisorConfig {
@@ -55,7 +47,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             windows_per_call: 8,
             rule_out_repeats: true,
-            resilience: Resilience::none(),
         }
     }
 }
@@ -340,9 +331,9 @@ impl NvSupervisor {
             core,
             rig,
             steps,
-            |state, schedule| {
+            |state, pws| {
                 let base = VirtAddr::new(state.page * PAGE_BYTES);
-                schedule.extend(window_offsets.iter().map(|&offset| {
+                pws.extend(window_offsets.iter().map(|&offset| {
                     PwSpec::new(base.offset(offset), BLOCK_BYTES).expect("32B window is valid")
                 }));
             },
@@ -371,23 +362,20 @@ impl NvSupervisor {
             core,
             rig,
             steps,
-            |state, schedule| {
+            |state, pws| {
                 if state.lo == u64::MAX || state.hi - state.lo <= 2 {
                     return;
                 }
                 let mid = state.lo + (state.hi - state.lo) / 2;
                 let base = VirtAddr::new(state.page * PAGE_BYTES);
-                schedule.push(
+                pws.push(
                     PwSpec::from_range(base.offset(state.lo), base.offset(mid))
                         .expect("refinement interval >= 2 bytes"),
                 );
             },
             |state, _pws, matched| {
-                if state.lo == u64::MAX || state.hi - state.lo <= 2 {
-                    return;
-                }
                 let mid = state.lo + (state.hi - state.lo) / 2;
-                if matched.first().copied().unwrap_or(false) {
+                if matched[0] {
                     state.hi = mid;
                 } else {
                     state.lo = mid;
@@ -411,40 +399,35 @@ impl NvSupervisor {
             core,
             rig,
             steps,
-            |state, schedule| {
+            |state, pws| {
                 if state.lo == u64::MAX {
                     return;
                 }
                 let base = VirtAddr::new(state.page * PAGE_BYTES);
                 let x = base.offset(state.lo);
-                schedule.push(PwSpec::from_range(x - 1u64, x.offset(1)).expect("2-byte window"));
+                pws.push(PwSpec::from_range(x - 1u64, x.offset(1)).expect("2-byte window"));
             },
             |state, _pws, matched| {
-                if state.lo == u64::MAX {
-                    return;
-                }
-                state.resolved = Some(if matched.first().copied().unwrap_or(false) {
-                    state.lo
-                } else {
-                    state.lo + 1
-                });
+                state.resolved = Some(if matched[0] { state.lo } else { state.lo + 1 });
             },
         )
     }
 
-    /// The shared per-run driver. `choose_pws` appends a step's windows
-    /// (in address order, possibly none) to the run's schedule, which is
-    /// built once: `steps` stays immutable while votes are tallied, so
-    /// every re-execution probes the identical windows. With
-    /// `resilience.votes == 1` this is one pass of
-    /// [`NvSupervisor::stepped_run_once`]; with more votes the
-    /// deterministic enclave is re-executed `votes` times — the whole run
-    /// is NV-S's voting unit, since a probe pass consumes its own signal
-    /// and only a fresh re-execution can reproduce it — and each step's
-    /// window matches are decided by majority before a single `record`
-    /// pass applies them. Runs that fail with a probe error are re-run up
-    /// to `resilience.retry_budget` times. `rig` is the extraction's rig,
-    /// lent to every run; a run that fails drops it.
+    /// The shared per-run driver: one extraction run — reset, controlled
+    /// channel, and per step: `choose_pws` puts the step's windows (in
+    /// address order, possibly none) in a buffer, the victim steps, the
+    /// rig probes, and `record` applies the matches to the step's state.
+    /// `record` runs only for a measured step, right after its probe; a
+    /// step's windows depend on its own state alone, which only its own
+    /// `record` changes, so every step is measured against the windows it
+    /// had when the run began. The first failure propagates unchanged.
+    ///
+    /// The rig is calibrated at the run's first measured step and
+    /// whenever the windows change; otherwise the previous step's probe
+    /// is this step's prime, and an unmeasured step in between costs one
+    /// re-prime. `rig` carries the rig from run to run: new windows of its
+    /// shape move it ([`AttackerRig::retarget`]), so a rig is built once
+    /// per shape.
     fn stepped_run(
         &self,
         enclave: &mut Enclave,
@@ -454,98 +437,13 @@ impl NvSupervisor {
         choose_pws: impl Fn(&StepState, &mut Vec<PwSpec>),
         mut record: impl FnMut(&mut StepState, &[PwSpec], &[bool]),
     ) -> Result<(), AttackError> {
-        let resilience = self.config.resilience;
-        let votes = resilience.votes.max(1);
-        let schedule = Schedule::build(steps, choose_pws);
-        // Per scheduled window, its matches over the completed runs, and
-        // over the current run: merged only if the run completes, since a
-        // failed run's partial measurements must not influence the vote.
-        let mut tally = vec![0usize; schedule.pws.len()];
-        let mut run_tally = vec![0usize; schedule.pws.len()];
-        let mut completed = 0usize;
-        let mut retries_left = resilience.retry_budget;
-        let mut retries_used = 0usize;
-        while completed < votes {
-            run_tally.fill(0);
-            let result = self.stepped_run_once(enclave, core, rig, &schedule, |index, matched| {
-                let counts = &mut run_tally[schedule.starts[index]..];
-                for (count, &m) in counts.iter_mut().zip(matched) {
-                    *count += usize::from(m);
-                }
-            });
-            if result.is_err() {
-                // A failed pass may leave the rig's stack unbalanced, so
-                // the next run builds afresh.
-                *rig = None;
-            }
-            match result {
-                Ok(()) => {
-                    for (total, run) in tally.iter_mut().zip(&run_tally) {
-                        *total += run;
-                    }
-                    completed += 1;
-                }
-                Err(err @ AttackError::ProbeFailed { .. }) => {
-                    if retries_left == 0 {
-                        if retries_used == 0 {
-                            // No retries were configured: propagate the
-                            // underlying failure unchanged (legacy
-                            // behaviour of the un-voted path).
-                            return Err(err);
-                        }
-                        let AttackError::ProbeFailed { cause, .. } = err else {
-                            unreachable!("guarded by the match arm");
-                        };
-                        return Err(AttackError::RetriesExhausted {
-                            retries: retries_used,
-                            budget: resilience.retry_budget,
-                            last: cause,
-                        });
-                    }
-                    retries_left -= 1;
-                    retries_used += 1;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        let mut matched = Vec::new();
-        for (index, state) in steps.iter_mut().enumerate() {
-            let window_range = schedule.range(index);
-            if window_range.is_empty() {
-                continue;
-            }
-            matched.clear();
-            matched.extend(
-                tally[window_range.clone()]
-                    .iter()
-                    .map(|&count| 2 * count > votes),
-            );
-            record(state, &schedule.pws[window_range], &matched);
-        }
-        Ok(())
-    }
-
-    /// One extraction run: reset, controlled channel, and per step: take
-    /// the step's windows from `schedule`, step, probe, and report the
-    /// matches to `observe` (keyed by step index). The rig is calibrated
-    /// at the run's first measured step and whenever the windows change;
-    /// otherwise the previous step's probe is this step's prime, and an
-    /// unmeasured step in between costs one re-prime. `rig` carries the
-    /// rig from run to run: new windows of its shape move it
-    /// ([`AttackerRig::retarget`]), so a rig is built once per shape.
-    fn stepped_run_once(
-        &self,
-        enclave: &mut Enclave,
-        core: &mut Core,
-        rig: &mut Option<AttackerRig>,
-        schedule: &Schedule,
-        mut observe: impl FnMut(usize, &[bool]),
-    ) -> Result<(), AttackError> {
         enclave.reset();
         let pages: Vec<u64> = enclave.code_pages().to_vec();
         for &page in &pages {
             enclave.page_table_mut().set_executable(page, false);
         }
+        // The current step's windows.
+        let mut pws = Vec::new();
         // Whether `rig` has been calibrated in this run.
         let mut calibrated = false;
         // Whether the victim stepped unmeasured since the rig's last probe,
@@ -556,21 +454,22 @@ impl NvSupervisor {
         // the step budget counter.
         for index in 0..MAX_STEPS {
             AttackError::check_deadline(core)?;
-            if index >= schedule.steps() {
+            let Some(state) = steps.get_mut(index) else {
                 return Ok(());
-            }
-            let pws = &schedule.pws[schedule.range(index)];
+            };
+            pws.clear();
+            choose_pws(state, &mut pws);
             // Prime: calibrating primes the rig, and so does the previous
             // step's probe, unless the victim stepped unmeasured since.
             // Each run calibrates afresh at its first measured step. The
-            // windows are scheduled in address order, the order a rig keeps
+            // windows are chosen in address order, the order a rig keeps
             // them in, so the rig's own windows say whether it can stay as
             // it is or move ([`AttackerRig::retarget`]).
             if pws.is_empty() {
                 stale = true;
             } else {
                 match rig {
-                    Some(rig) if calibrated && rig.pws() == pws => {
+                    Some(rig) if calibrated && rig.pws() == pws.as_slice() => {
                         if stale {
                             rig.prime(core)?;
                         }
@@ -578,9 +477,9 @@ impl NvSupervisor {
                     _ => {
                         let reused = rig
                             .as_mut()
-                            .is_some_and(|rig| rig.pws() == pws || rig.retarget(pws));
+                            .is_some_and(|rig| rig.pws() == pws.as_slice() || rig.retarget(&pws));
                         if !reused {
-                            *rig = Some(AttackerRig::new(pws.to_vec())?);
+                            *rig = Some(AttackerRig::new(pws.clone())?);
                         }
                         rig.as_mut().expect("just set").calibrate(core)?;
                         calibrated = true;
@@ -614,7 +513,7 @@ impl NvSupervisor {
             if !pws.is_empty() {
                 if let Some(rig) = rig.as_mut() {
                     let matched = rig.probe(core)?;
-                    observe(index, &matched);
+                    record(state, &pws, &matched);
                 }
             }
             if matches!(step.exit, StepExit::Finished) {
@@ -630,45 +529,12 @@ impl NvSupervisor {
     }
 }
 
-/// One extraction run's window schedule: every step's windows back to
-/// back in one buffer, step `i`'s at `starts[i]..starts[i + 1]`.
-#[derive(Debug)]
-struct Schedule {
-    pws: Vec<PwSpec>,
-    starts: Vec<usize>,
-}
-
-impl Schedule {
-    /// The schedule `choose_pws` appends for each of `steps`.
-    fn build(steps: &[StepState], choose_pws: impl Fn(&StepState, &mut Vec<PwSpec>)) -> Self {
-        let mut pws = Vec::new();
-        let mut starts = Vec::with_capacity(steps.len() + 1);
-        starts.push(0);
-        for state in steps {
-            choose_pws(state, &mut pws);
-            starts.push(pws.len());
-        }
-        Schedule { pws, starts }
-    }
-
-    /// Steps scheduled.
-    fn steps(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// Where step `index`'s windows lie in [`Schedule::pws`].
-    fn range(&self, index: usize) -> Range<usize> {
-        self.starts[index]..self.starts[index + 1]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nv_isa::{Assembler, Cond, Reg};
     use nv_obs::Recorder;
-    use nv_uarch::{Perturbation, UarchConfig};
-    use nv_victims::{GcdVictim, VictimConfig};
+    use nv_uarch::UarchConfig;
 
     fn extract(build: impl FnOnce(&mut Assembler)) -> (ExtractedTrace, Vec<VirtAddr>) {
         let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
@@ -736,28 +602,44 @@ mod tests {
 
     #[test]
     fn every_run_calibrates_at_its_first_measured_step() {
-        // Three votes re-run each schedule back to back, so a sweep run's
-        // next vote starts on the windows its last step probed. The rig is
-        // carried over but still calibrated afresh: three times the counts
-        // of the single-vote extraction above.
+        // Three runs measure every step of the straight-line program
+        // against one fixed window, so each run starts on exactly the
+        // windows the rig carried over from the previous run's last step.
+        // The rig is reused but still calibrated afresh at each run's first
+        // measured step, and the deterministic re-executions read the same
+        // matches.
         let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
         straight_line(&mut asm);
         let mut enclave = Enclave::new(asm.finish().unwrap());
         let mut core = Core::new(UarchConfig::default());
+        let supervisor = NvSupervisor::default();
+        let mut steps = supervisor.reconnaissance(&mut enclave, &mut core).unwrap();
+        assert_eq!(steps.len(), 6);
+        let window = PwSpec::new(VirtAddr::new(0x40_0000), BLOCK_BYTES).unwrap();
         core.attach_obs(Recorder::new(0));
-        let supervisor = NvSupervisor::new(SupervisorConfig {
-            resilience: Resilience {
-                votes: 3,
-                retry_budget: 0,
-            },
-            ..SupervisorConfig::default()
-        });
-        let trace = supervisor.extract_trace(&mut enclave, &mut core).unwrap();
-        assert_eq!(trace.len(), 6);
+        let mut rig = None;
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            let mut matched = Vec::new();
+            supervisor
+                .stepped_run(
+                    &mut enclave,
+                    &mut core,
+                    &mut rig,
+                    &mut steps,
+                    |_, pws| pws.push(window),
+                    |_, _, hits| matched.push(hits[0]),
+                )
+                .unwrap();
+            assert_eq!(rig.as_ref().map(AttackerRig::pws), Some(&[window][..]));
+            runs.push(matched);
+        }
+        assert_eq!(runs[0].len(), 6);
+        assert!(runs.iter().all(|run| *run == runs[0]), "{runs:?}");
         let metrics = core.detach_obs().unwrap().metrics();
         let spans = |phase| metrics.phase(phase).map_or(0, |stats| stats.count);
-        assert_eq!(spans(Phase::Calibrate), 3 * (16 + (1 + 2 + 4 + 6) + 6));
-        assert_eq!(spans(Phase::Probe), 3 * 21 * 6);
+        assert_eq!(spans(Phase::Calibrate), 3);
+        assert_eq!(spans(Phase::Probe), 3 * 6);
     }
 
     #[test]
@@ -783,25 +665,23 @@ mod tests {
         assert_eq!(steps.len(), 4);
         steps[1].lo = u64::MAX;
         let window = PwSpec::new(base.offset(64), BLOCK_BYTES).unwrap();
-        let schedule = Schedule::build(&steps, |state, schedule| {
-            if state.lo != u64::MAX {
-                schedule.push(window);
-            }
-        });
-        let mut matched = vec![None; steps.len()];
         supervisor
-            .stepped_run_once(
+            .stepped_run(
                 &mut enclave,
                 &mut core,
                 &mut None,
-                &schedule,
-                |index, hits| {
-                    matched[index] = Some(hits[0]);
+                &mut steps,
+                |state, pws| {
+                    if state.lo != u64::MAX {
+                        pws.push(window);
+                    }
                 },
+                |state, _, hits| state.resolved = Some(u64::from(hits[0])),
             )
             .unwrap();
+        let matched: Vec<_> = steps.iter().map(|state| state.resolved).collect();
         assert_eq!(matched[1], None);
-        assert_eq!(matched[2], Some(false), "{matched:?}");
+        assert_eq!(matched[2], Some(0), "{matched:?}");
     }
 
     #[test]
@@ -902,95 +782,6 @@ mod tests {
         assert!(ruled.pcs().len() < raw.pcs().len());
         assert!(ruled.pcs().contains(&body));
         assert_eq!(ruled.len(), raw.len(), "steps counted identically");
-    }
-
-    #[test]
-    fn voted_extraction_matches_single_shot() {
-        // NV-S's voting unit is the whole deterministic enclave re-run.
-        // On a quiet core every re-execution is identical, so 3-vote
-        // majority extraction must agree bit-for-bit with the single-shot
-        // path; under mild injected jitter the adaptive margins absorb
-        // the noise and the voted trace still matches.
-        let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
-        asm.mov_ri(Reg::R0, 2);
-        asm.label("loop");
-        asm.sub_ri8(Reg::R0, 1);
-        asm.cmp_ri8(Reg::R0, 0);
-        asm.jcc8(Cond::Ne, "loop");
-        asm.halt();
-        let program = asm.finish().unwrap();
-
-        let extract_with = |resilience: Resilience, perturbation: Perturbation| {
-            let mut enclave = Enclave::new(program.clone());
-            let mut core = Core::new(UarchConfig {
-                perturbation,
-                ..UarchConfig::default()
-            });
-            NvSupervisor::new(SupervisorConfig {
-                resilience,
-                ..SupervisorConfig::default()
-            })
-            .extract_trace(&mut enclave, &mut core)
-            .unwrap()
-            .pcs()
-        };
-
-        let single = extract_with(Resilience::none(), Perturbation::none());
-        let voted = extract_with(
-            Resilience {
-                votes: 3,
-                retry_budget: 2,
-            },
-            Perturbation::none(),
-        );
-        assert_eq!(voted, single);
-
-        let jitter = Perturbation {
-            seed: 13,
-            eviction_interval: 0,
-            jitter_amplitude: 2,
-            squash_per_million: 0,
-        };
-        assert_eq!(extract_with(Resilience::paper_robust(), jitter), single);
-    }
-
-    #[test]
-    fn voted_extraction_of_hardened_gcd_survives_evictions_and_jitter() {
-        // A branchy, page-spanning victim under cross-tenant evictions and
-        // timer jitter (and, at paper-calibrated noise, preemption
-        // squashes): whole-run voting must still reproduce the quiet
-        // single-shot trace exactly.
-        let victim = GcdVictim::build(27, 12, &VictimConfig::paper_hardened()).unwrap();
-        let extract_with = |resilience: Resilience, perturbation: Perturbation| {
-            let mut enclave = Enclave::new(victim.program().clone());
-            let mut core = Core::new(UarchConfig {
-                perturbation,
-                ..UarchConfig::default()
-            });
-            NvSupervisor::new(SupervisorConfig {
-                resilience,
-                ..SupervisorConfig::default()
-            })
-            .extract_trace(&mut enclave, &mut core)
-            .unwrap()
-            .pcs()
-        };
-
-        let quiet = extract_with(Resilience::none(), Perturbation::none());
-        assert!(!quiet.is_empty());
-        let evict_and_jitter = Perturbation {
-            seed: 7,
-            eviction_interval: 900,
-            jitter_amplitude: 5,
-            squash_per_million: 0,
-        };
-        for noise in [evict_and_jitter, Perturbation::paper_calibrated(7)] {
-            assert_eq!(
-                extract_with(Resilience::paper_robust(), noise),
-                quiet,
-                "{noise:?}"
-            );
-        }
     }
 
     #[test]

@@ -509,7 +509,10 @@ impl AttackerRig {
     ///
     /// * [`AttackError::NotCalibrated`] — call
     ///   [`AttackerRig::calibrate`] first;
-    /// * [`AttackError::RetriesExhausted`] — the retry budget ran out.
+    /// * [`AttackError::ProbeFailed`] — a pass failed with no retry left
+    ///   and none taken (always so with a zero budget);
+    /// * [`AttackError::RetriesExhausted`] — the retry budget ran out
+    ///   after at least one retry.
     ///
     /// # Panics
     ///
@@ -540,15 +543,21 @@ impl AttackerRig {
                         }
                         break;
                     }
-                    Err(AttackError::ProbeFailed { cause, .. }) => {
-                        if retries_left == 0 {
-                            core.obs_exit(Phase::Vote);
-                            return Err(AttackError::RetriesExhausted {
+                    Err(err @ AttackError::ProbeFailed { cause, .. }) if retries_left == 0 => {
+                        core.obs_exit(Phase::Vote);
+                        return Err(if retries_used == 0 {
+                            // No retry was taken: the failure stands as
+                            // the probe reported it.
+                            err
+                        } else {
+                            AttackError::RetriesExhausted {
                                 retries: retries_used,
                                 budget: resilience.retry_budget,
                                 last: cause,
-                            });
-                        }
+                            }
+                        });
+                    }
+                    Err(AttackError::ProbeFailed { .. }) => {
                         retries_left -= 1;
                         retries_used += 1;
                         // Recover: re-prime (a failure here surfaces via
@@ -988,6 +997,31 @@ mod tests {
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn probe_robust_without_retries_returns_the_probe_failure() {
+        // A zero budget is one probe: its failure keeps the window and
+        // jump that `probe` reported instead of becoming an exhausted
+        // budget of zero retries. Every pass misses window 0's record once
+        // the rig looks for its jump at an address the chain never leaves.
+        let pw = PwSpec::new(VirtAddr::new(0x40_0100), 16).unwrap();
+        let mut rig = AttackerRig::new(vec![pw]).unwrap();
+        let mut core = core();
+        rig.calibrate(&mut core).unwrap();
+        let bogus = VirtAddr::new(0xdead_0000);
+        rig.jmp_addrs[0] = bogus;
+        let err = rig
+            .probe_robust(&mut core, Resilience::none(), |_| {})
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AttackError::ProbeFailed {
+                window: Some(0),
+                jump: Some(bogus),
+                cause: ProbeFailureCause::LbrRecordMissing,
+            }
+        );
     }
 
     #[test]

@@ -21,11 +21,14 @@
 //! Connections carry a default write deadline so a stalled server
 //! cannot wedge a client in `write(2)` forever; *read* timeouts stay
 //! opt-in because a blocking wait for a long trial is the common case.
+//! Once a response frame has started, though, each wait for the rest of
+//! it is bounded by the same deadline: a length field corrupted in
+//! transit to claim bytes that never come fails the read in seconds.
 //! Responses are read through a buffer, so a batch of streamed updates
 //! costs one `recv`, not four per frame.
 
 use std::collections::HashSet;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -105,6 +108,9 @@ pub struct FinishedJob {
 pub struct Client {
     /// Reads responses through a buffer; requests go to the inner stream.
     reader: BufReader<TcpStream>,
+    /// The caller's read timeout, which applies until a response frame
+    /// starts.
+    read_timeout: Option<Duration>,
 }
 
 impl Client {
@@ -146,16 +152,21 @@ impl Client {
         stream.set_write_timeout(Some(DEFAULT_WRITE_TIMEOUT))?;
         Ok(Client {
             reader: BufReader::new(stream),
+            read_timeout: None,
         })
     }
 
-    /// Sets (or clears) the read timeout for responses.
+    /// Sets (or clears) the read timeout for responses: the wait for a
+    /// response's first byte. Each wait for the rest of a started frame
+    /// is bounded by [`DEFAULT_WRITE_TIMEOUT`] or this, if shorter.
     ///
     /// # Errors
     ///
     /// I/O failure configuring the socket.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
+    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)?;
+        self.read_timeout = timeout;
+        Ok(())
     }
 
     /// Overrides (or clears) the default write deadline.
@@ -173,7 +184,12 @@ impl Client {
     }
 
     fn recv(&mut self) -> Result<Response, ClientError> {
-        let payload = read_frame(&mut self.reader)?;
+        let payload = read_frame(&mut ResponseReader {
+            reader: &mut self.reader,
+            read_timeout: self.read_timeout,
+            started: false,
+            bounded: false,
+        })?;
         Ok(Response::decode(&payload)?)
     }
 
@@ -386,6 +402,43 @@ impl Client {
             other => Err(ClientError::Unexpected {
                 got: other.encode(),
             }),
+        }
+    }
+}
+
+/// A client's reader for one response frame: the caller's read timeout
+/// applies until the frame's first byte arrives, and a wait on the socket
+/// for the rest is bounded by [`DEFAULT_WRITE_TIMEOUT`] (or the caller's
+/// timeout, if shorter). The socket's timeout changes only when the
+/// buffer runs dry inside a frame, and is restored when the frame is done.
+struct ResponseReader<'a> {
+    reader: &'a mut BufReader<TcpStream>,
+    read_timeout: Option<Duration>,
+    /// Whether the frame's first byte has arrived.
+    started: bool,
+    /// Whether the socket's timeout is the mid-frame bound.
+    bounded: bool,
+}
+
+impl Read for ResponseReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.started && !self.bounded && self.reader.buffer().is_empty() {
+            let bound = self.read_timeout.map_or(DEFAULT_WRITE_TIMEOUT, |timeout| {
+                timeout.min(DEFAULT_WRITE_TIMEOUT)
+            });
+            self.reader.get_ref().set_read_timeout(Some(bound))?;
+            self.bounded = true;
+        }
+        let read = self.reader.read(buf)?;
+        self.started |= read > 0;
+        Ok(read)
+    }
+}
+
+impl Drop for ResponseReader<'_> {
+    fn drop(&mut self) {
+        if self.bounded {
+            let _ = self.reader.get_ref().set_read_timeout(self.read_timeout);
         }
     }
 }

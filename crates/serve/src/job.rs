@@ -9,19 +9,18 @@
 //!
 //! [`run_job`] executes the spec through the `nightvision` campaign
 //! engine's checkpointed resume path, so every completed trial is
-//! durable the moment it finishes. Trials that fail a pass are retried
-//! with **exponential back-off**: pass *p* re-runs the stragglers under
-//! `FailurePolicy::Retry` with a budget of `2^p - 1` (capped at the
-//! spec's budget). Because attempt `k` of trial `i` draws an rng stream
+//! durable the moment it finishes. The job is one campaign pass under
+//! `FailurePolicy::Retry`: a failed attempt is retried at once, up to the
+//! spec's budget. Because attempt `k` of trial `i` draws an rng stream
 //! that depends only on `(master_seed, i, k)`, a trial always completes
-//! with the value of its *first succeeding attempt*, no matter how the
-//! passes were sliced by crashes — which is exactly what makes
-//! kill-and-restart byte-identical.
+//! with the value of its *first succeeding attempt*, no matter where a
+//! crash cut the pass — which is exactly what makes kill-and-restart
+//! byte-identical.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use nightvision::campaign::{panic_message, Campaign, Trial};
 use nightvision::checkpoint::fnv1a64;
@@ -30,7 +29,6 @@ use nightvision::{
     Resilience, SupervisorConfig, TrialOutcome,
 };
 use nv_isa::{Assembler, VirtAddr};
-use nv_obs::Metrics;
 use nv_os::Enclave;
 use nv_uarch::{Core, Machine, UarchConfig};
 use nv_victims::{GcdVictim, VictimConfig};
@@ -76,7 +74,8 @@ pub struct JobSpec {
     pub threads: usize,
     /// Per-trial watchdog budget in retirement steps (0 = none).
     pub deadline_steps: u64,
-    /// Total extra attempts a trial may take across all back-off passes.
+    /// Extra attempts a failed trial may take
+    /// (`FailurePolicy::Retry { budget }`).
     pub retry_budget: usize,
     /// Injected per-attempt flake rate, in failures per million, drawn
     /// from the attempt's own rng stream — deterministic in
@@ -261,18 +260,18 @@ fn outcome_digest(outcomes: &[TrialOutcome<u64>]) -> u64 {
 
 /// Runs `spec` to a [`JobReport`], streaming [`TrialUpdate`]s through
 /// `on_update` as trials finish: live completions as they happen,
-/// checkpoint-resumed completions after the first pass, terminal
-/// failures after the last.
+/// checkpoint-resumed completions after the campaign pass, terminal
+/// failures last.
 ///
 /// The checkpoint at `checkpoint_path` makes the job resumable: calling
 /// `run_job` again after a kill (same spec, same path) skips completed
 /// trials and converges to the identical report.
 ///
-/// `cancel`, when present, is polled at pass boundaries and attached to
-/// every trial's core, so a raised flag stops the job both between
-/// trials and *inside* one (at the attack layers' cooperative watchdog
-/// checks). Streamed updates carry `seq: 0`; the server's stream buffer
-/// assigns real sequence numbers at publish time.
+/// `cancel`, when present, is polled before and after the pass and
+/// attached to every trial's core, so a raised flag stops the job both
+/// between trials and *inside* one (at the attack layers' cooperative
+/// watchdog checks). Streamed updates carry `seq: 0`; the server's
+/// stream buffer assigns real sequence numbers at publish time.
 ///
 /// # Errors
 ///
@@ -288,103 +287,60 @@ pub fn run_job(
     on_update: impl Fn(TrialUpdate) + Sync,
 ) -> Result<JobReport, JobError> {
     let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
-    let mut base = Campaign::new(spec.trials)
-        .master_seed(spec.master_seed)
-        .threads(spec.threads.max(1));
-    if spec.deadline_steps > 0 {
-        base = base.deadline_steps(spec.deadline_steps);
+    if cancelled() {
+        return Err(JobError::Cancelled);
     }
-    let key = base.checkpoint_key(spec.fingerprint());
-
-    // Indices already streamed to the client, so pass boundaries and
-    // checkpoint-resumed trials never duplicate an update.
-    let streamed = Mutex::new(vec![false; spec.trials]);
-    let mut metrics = Metrics::default();
-    let mut budget = 0usize;
-    let mut passes = 0u64;
-    let mut resumed_trials = 0u64;
-
-    let outcomes = loop {
-        if cancelled() {
-            return Err(JobError::Cancelled);
-        }
-        passes += 1;
-        let checkpoint = CampaignCheckpoint::open(checkpoint_path, key)?;
-        if passes == 1 {
-            resumed_trials = checkpoint.completed_trials() as u64;
-        }
-        let campaign = base.failure_policy(FailurePolicy::Retry { budget });
-        let pass = catch_unwind(AssertUnwindSafe(|| {
-            campaign.resume(&checkpoint, |mut trial| {
-                let index = trial.index;
-                let value = run_attempt(spec, &mut trial, cancel)?;
-                streamed.lock().expect("streamed flags poisoned")[index] = true;
-                on_update(TrialUpdate {
-                    job,
-                    seq: 0,
-                    index: index as u64,
-                    outcome: "completed".to_string(),
-                    value,
-                    resumed: false,
-                });
-                Ok(value)
-            })
-        }));
-        let (outcomes, pass_metrics) = match pass {
-            Ok(result) => result,
-            Err(payload) => {
-                let detail = panic_message(payload.as_ref());
-                return Err(JobError::Aborted { detail });
-            }
-        };
-        metrics.merge(&pass_metrics);
-
-        // Stream checkpoint-resumed completions (first pass) — their
-        // trial closures never ran, so they were not streamed live.
-        {
-            let mut flags = streamed.lock().expect("streamed flags poisoned");
-            for (index, outcome) in outcomes.iter().enumerate() {
-                if let TrialOutcome::Completed(value) = outcome {
-                    if !flags[index] {
-                        flags[index] = true;
-                        on_update(TrialUpdate {
-                            job,
-                            seq: 0,
-                            index: index as u64,
-                            outcome: "completed".to_string(),
-                            value: *value,
-                            resumed: true,
-                        });
-                    }
-                }
-            }
-        }
-
-        if cancelled() {
-            return Err(JobError::Cancelled);
-        }
-        let incomplete = outcomes.iter().filter(|o| !o.is_completed()).count();
-        if incomplete == 0 || budget >= spec.retry_budget {
-            break outcomes;
-        }
-        // Exponential back-off: 0, 1, 3, 7, ... extra attempts per pass.
-        budget = budget
-            .saturating_mul(2)
-            .saturating_add(1)
-            .min(spec.retry_budget);
+    let mut campaign = Campaign::new(spec.trials)
+        .master_seed(spec.master_seed)
+        .threads(spec.threads.max(1))
+        .failure_policy(FailurePolicy::Retry {
+            budget: spec.retry_budget,
+        });
+    if spec.deadline_steps > 0 {
+        campaign = campaign.deadline_steps(spec.deadline_steps);
+    }
+    let checkpoint =
+        CampaignCheckpoint::open(checkpoint_path, campaign.checkpoint_key(spec.fingerprint()))?;
+    // Exactly the trials `Campaign::resume` skips: their closures never
+    // run, so they stream after the pass instead of live.
+    let resumed = |index: usize| {
+        checkpoint
+            .data(index)
+            .is_some_and(|data| data.parse::<u64>().is_ok())
+    };
+    let update = |index: usize, outcome: &str, value: u64, resumed: bool| TrialUpdate {
+        job,
+        seq: 0,
+        index: index as u64,
+        outcome: outcome.to_string(),
+        value,
+        resumed,
     };
 
-    // Terminal failures, streamed once the back-off passes are spent.
+    let pass = catch_unwind(AssertUnwindSafe(|| {
+        campaign.resume(&checkpoint, |mut trial| {
+            let index = trial.index;
+            let value = run_attempt(spec, &mut trial, cancel)?;
+            on_update(update(index, "completed", value, false));
+            Ok(value)
+        })
+    }));
+    let (outcomes, metrics) = pass.map_err(|payload| JobError::Aborted {
+        detail: panic_message(payload.as_ref()),
+    })?;
+    for (index, outcome) in outcomes.iter().enumerate() {
+        if let TrialOutcome::Completed(value) = outcome {
+            if resumed(index) {
+                on_update(update(index, "completed", *value, true));
+            }
+        }
+    }
+    if cancelled() {
+        return Err(JobError::Cancelled);
+    }
     for (index, outcome) in outcomes.iter().enumerate() {
         if !outcome.is_completed() {
-            on_update(TrialUpdate {
-                job,
-                seq: 0,
-                index: index as u64,
-                outcome: outcome_tag(outcome).to_string(),
-                value: 0,
-                resumed: false,
-            });
+            on_update(update(index, outcome_tag(outcome), 0, false));
         }
     }
 
@@ -394,8 +350,8 @@ pub fn run_job(
         trials: spec.trials as u64,
         completed,
         quarantined: spec.trials as u64 - completed,
-        resumed_trials,
-        passes,
+        resumed_trials: (0..spec.trials).filter(|&index| resumed(index)).count() as u64,
+        passes: 1,
         digest: outcome_digest(&outcomes),
         metrics_json: metrics.to_json(),
     })
@@ -404,6 +360,7 @@ pub fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let mut path = std::env::temp_dir();
@@ -430,11 +387,13 @@ mod tests {
     }
 
     #[test]
-    fn flaky_job_heals_across_backoff_passes() {
-        // A heavy deterministic flake rate: most first attempts fail, the
-        // widening retry budget heals them across passes, in the same
-        // number of passes and to the same pinned digest at any thread
-        // count.
+    fn flaky_job_heals_in_one_retry_pass() {
+        // A heavy deterministic flake rate: most first attempts fail and
+        // are retried at once within the budget, in one campaign pass, to
+        // the same pinned digest at any thread count. A trial keeps the
+        // value of its first succeeding attempt, so the digest does not
+        // depend on how attempts are grouped into passes; one trial span
+        // per trial shows that no trial ran twice.
         for threads in [1, 2] {
             let mut spec = JobSpec::nv_core(24, 0xf1a6_0019);
             spec.threads = threads;
@@ -446,8 +405,13 @@ mod tests {
                 report.completed, 24,
                 "400k ppm flakes must heal within a budget of 15"
             );
-            assert_eq!(report.passes, 3, "threads {threads}");
+            assert_eq!(report.passes, 1, "threads {threads}");
             assert_eq!(report.digest, 0x2607_4f25_7e78_e15a, "threads {threads}");
+            assert!(
+                report.metrics_json.contains("\"trial\": {\"count\": 24,"),
+                "one trial span per trial: {}",
+                report.metrics_json
+            );
             let _ = std::fs::remove_file(&path);
         }
     }

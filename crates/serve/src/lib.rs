@@ -16,9 +16,10 @@
 //!   hears `accepted`; `kill -9` mid-load plus a restart resumes every
 //!   in-flight job and reproduces byte-identical results at any worker
 //!   count;
-//! * **healing** — quarantined trials are retried across passes with an
-//!   exponentially growing budget, deterministically (a trial's value is
-//!   its first-succeeding attempt's, however the passes slice the work);
+//! * **healing** — a failed trial is retried at once within the job's
+//!   retry budget, in the job's one campaign pass, deterministically (a
+//!   trial's value is its first-succeeding attempt's, wherever a crash
+//!   cut the pass);
 //! * **hostility** — every malformed frame maps to a typed
 //!   [`wire::WireError`]; the decoders never panic on wire input;
 //! * **chaos tolerance** — a seeded, replayable chaos proxy ([`chaos`])

@@ -222,7 +222,9 @@ pub struct JobReport {
     pub quarantined: u64,
     /// Trials this process skipped because a checkpoint already had them.
     pub resumed_trials: u64,
-    /// Exponential-backoff passes the job took to converge.
+    /// 1 for a job this server life ran (one campaign pass, retries
+    /// included); 0 for a digest-only terminal, whose counts are
+    /// unknown.
     pub passes: u64,
     /// FNV-1a-64 digest over the index-ordered outcome vector — the
     /// byte-identity witness for resume checks.

@@ -14,7 +14,7 @@
 //!    returns the original job instead of admitting a duplicate;
 //! 2. a worker pops the job and runs it through
 //!    [`crate::job::run_job`] — checkpointed trials, watchdog deadlines,
-//!    exponential-backoff healing — publishing every [`Response::Trial`]
+//!    retries within the job's budget — publishing every [`Response::Trial`]
 //!    into the job's **outcome ring**, a bounded per-job buffer of
 //!    sequence-numbered updates. Connections (the submitter, and any
 //!    later `resume_stream`) subscribe to the ring: a client that lost
@@ -76,6 +76,17 @@ use crate::wire::{encode_frame, is_protocol_violation, read_frame, WireError};
 /// and the idle deadline.
 const READ_POLL: Duration = Duration::from_millis(200);
 
+/// Per-job outcome-ring capacity: the oldest buffered updates age out
+/// beyond it, bounding memory against huge jobs. A resuming client whose
+/// cursor predates the ring sees the gap in [`Response::Resuming::oldest`].
+const RING_CAP: usize = 4096;
+
+/// Per-connection transfer deadline. A peer that stops reading long
+/// enough to stall a response write this long is dropped (and counted),
+/// never allowed to wedge a worker or connection thread; a request frame
+/// whose first byte has arrived must deliver the rest within it.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Whether an I/O error is a socket read or write deadline expiring.
 fn is_timeout(kind: std::io::ErrorKind) -> bool {
     matches!(
@@ -118,16 +129,7 @@ pub struct ServerConfig {
     pub tenant_quota: usize,
     /// Directory for the journal and per-job checkpoints.
     pub spool: PathBuf,
-    /// Per-job outcome-ring capacity: the oldest buffered updates age
-    /// out beyond it, bounding memory against huge jobs. A resuming
-    /// client whose cursor predates the ring sees the gap in
-    /// [`Response::Resuming::oldest`].
-    pub ring_cap: usize,
-    /// Per-connection write deadline: a peer that stops reading long
-    /// enough to stall a response write this long is dropped (and
-    /// counted), never allowed to wedge a worker or connection thread.
-    pub write_timeout: Duration,
-    /// Per-connection idle deadline: a connection that sends no frame
+    /// Per-connection idle deadline: a connection that starts no frame
     /// (not even a ping) for this long between requests is reaped.
     pub idle_timeout: Duration,
 }
@@ -141,8 +143,6 @@ impl ServerConfig {
             queue_cap: 64,
             tenant_quota: 64,
             spool: spool.into(),
-            ring_cap: 4096,
-            write_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(60),
         }
     }
@@ -223,11 +223,11 @@ struct JobStream {
 impl JobStream {
     /// Appends one update to the ring (assigning its sequence number)
     /// and fans it out to live subscribers.
-    fn publish(&mut self, mut update: TrialUpdate, ring_cap: usize) {
+    fn publish(&mut self, mut update: TrialUpdate) {
         self.published += 1;
         update.seq = self.published;
         self.ring.push_back(update.clone());
-        while self.ring.len() > ring_cap {
+        while self.ring.len() > RING_CAP {
             self.ring.pop_front();
         }
         self.subscribers
@@ -375,7 +375,7 @@ impl Inner {
             Err(err) => {
                 if is_timeout(err.kind()) {
                     self.observe(ObsEvent::ConnWriteStalled {
-                        timeout_ms: self.config.write_timeout.as_millis() as u64,
+                        timeout_ms: WRITE_TIMEOUT.as_millis() as u64,
                     });
                 }
                 false
@@ -591,10 +591,7 @@ impl Inner {
             let path = self.checkpoint_path(job);
             let result = catch_unwind(AssertUnwindSafe(|| {
                 run_job(job, &spec, &path, Some(&cancel_flag), |update| {
-                    stream
-                        .lock()
-                        .expect("job stream poisoned")
-                        .publish(update, self.config.ring_cap);
+                    stream.lock().expect("job stream poisoned").publish(update);
                 })
             }));
 
@@ -651,23 +648,27 @@ impl Inner {
     fn handle_connection(&self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(READ_POLL));
-        let _ = stream.set_write_timeout(Some(self.config.write_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let mut reader = BufReader::new(stream);
         loop {
             let mut frame = RequestReader {
                 inner: self,
                 reader: &mut reader,
                 stalled: Duration::ZERO,
+                started: false,
             };
-            let payload = match read_frame(&mut frame) {
+            let read = read_frame(&mut frame);
+            let deadline = frame.deadline();
+            let payload = match read {
                 Ok(payload) => payload,
                 Err(WireError::Io(kind)) if is_timeout(kind) => {
-                    // Half-open, abandoned or stalled mid-frame: no whole
-                    // frame within the idle deadline. A timeout while
-                    // shutting down is not a reap.
+                    // Half-open or abandoned (no frame started within the
+                    // idle deadline), or stalled mid-frame (the rest did
+                    // not follow within the write deadline). A timeout
+                    // while shutting down is not a reap.
                     if !self.is_shutdown() {
                         self.observe(ObsEvent::ConnIdleReaped {
-                            timeout_ms: self.config.idle_timeout.as_millis() as u64,
+                            timeout_ms: deadline.as_millis() as u64,
                         });
                     }
                     return;
@@ -850,12 +851,30 @@ impl Inner {
 
 /// A connection's reader for one request frame. Read-poll timeouts are
 /// waited out, before the first byte and inside the frame alike, so a
-/// slowly delivered frame is not lost; the timeout surfaces once the
-/// server shuts down or nothing has arrived for the idle deadline.
+/// slowly delivered frame is not lost. The timeout surfaces once the
+/// server shuts down, or once the stalls add up to the deadline: the idle
+/// deadline until the frame's first byte arrives, the write deadline for
+/// the rest. So a length field that claims bytes which never come (a
+/// corrupted header, a peer gone mid-frame) costs the connection
+/// seconds, not the idle deadline.
 struct RequestReader<'a> {
     inner: &'a Inner,
     reader: &'a mut BufReader<TcpStream>,
+    /// Read-poll time waited out so far: before the first byte, or since.
     stalled: Duration,
+    /// Whether the frame's first byte has arrived.
+    started: bool,
+}
+
+impl RequestReader<'_> {
+    /// The stall budget that applies now.
+    fn deadline(&self) -> Duration {
+        if self.started {
+            WRITE_TIMEOUT
+        } else {
+            self.inner.config.idle_timeout
+        }
+    }
 }
 
 impl Read for RequestReader<'_> {
@@ -864,11 +883,17 @@ impl Read for RequestReader<'_> {
             match self.reader.read(buf) {
                 Err(err) if is_timeout(err.kind()) => {
                     self.stalled += READ_POLL;
-                    if self.stalled >= self.inner.config.idle_timeout || self.inner.is_shutdown() {
+                    if self.stalled >= self.deadline() || self.inner.is_shutdown() {
                         return Err(err);
                     }
                 }
-                result => return result,
+                result => {
+                    if !self.started && matches!(result, Ok(n) if n > 0) {
+                        self.started = true;
+                        self.stalled = Duration::ZERO;
+                    }
+                    return result;
+                }
             }
         }
     }

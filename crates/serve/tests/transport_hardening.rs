@@ -3,13 +3,14 @@
 //! keep quiet-but-alive connections open, and client connects are
 //! bounded in time.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use nv_serve::wire::{encode_frame, read_frame};
-use nv_serve::{Client, JobSpec, Request, Response, Server, ServerConfig};
+use nv_serve::{Client, ClientError, JobSpec, Request, Response, Server, ServerConfig, WireError};
 
 fn scratch_dir(name: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
@@ -130,6 +131,79 @@ fn a_frame_paused_past_the_read_poll_is_still_served() {
     drop(stream);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&spool);
+}
+
+#[test]
+fn a_header_that_overclaims_its_length_is_dropped_within_the_write_deadline() {
+    let spool = scratch_dir("overclaim");
+    let server = Server::start(ServerConfig::new(&spool)).unwrap();
+
+    // A ping frame whose length field claims 64 bytes more than follow,
+    // as a bit flipped in transit leaves it. Once the frame has started,
+    // the server waits for the rest only as long as its 2 s write
+    // deadline, not the 60 s idle deadline, then hangs up.
+    let mut frame = encode_frame(&Request::Ping { nonce: 0x0c1a }.encode());
+    let claimed = u32::from_le_bytes(frame[4..8].try_into().unwrap()) + 64;
+    frame[4..8].copy_from_slice(&claimed.to_le_bytes());
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let started = Instant::now();
+    stream.write_all(&frame).unwrap();
+    let mut answer = Vec::new();
+    let closed = stream.read_to_end(&mut answer);
+    let elapsed = started.elapsed();
+    assert!(
+        closed.is_ok() && elapsed < Duration::from_secs(5),
+        "the server must close within seconds: {closed:?} after {elapsed:?}"
+    );
+    assert!(answer.is_empty(), "a stalled frame gets no answer");
+
+    let stats = Client::connect(server.addr()).unwrap().stats().unwrap();
+    assert!(
+        stats.metrics_json.contains("\"conn_idle_reaped\": 1"),
+        "{}",
+        stats.metrics_json
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+#[test]
+fn a_response_that_overclaims_its_length_fails_the_client_read_within_seconds() {
+    // A server whose `pong` frame claims 64 bytes more than it sends and
+    // then keeps the connection open, as a bit flipped in transit leaves
+    // a stream's last frame. The client has no read timeout, but once a
+    // frame has started it waits for the rest only as long as its 2 s
+    // write deadline.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        read_frame(&mut stream).unwrap();
+        let mut frame = encode_frame(&Response::Pong { nonce: 9 }.encode());
+        let claimed = u32::from_le_bytes(frame[4..8].try_into().unwrap()) + 64;
+        frame[4..8].copy_from_slice(&claimed.to_le_bytes());
+        stream.write_all(&frame).unwrap();
+        let _ = done_rx.recv_timeout(Duration::from_secs(30));
+    });
+
+    let mut client = Client::connect(addr).unwrap();
+    let started = Instant::now();
+    let result = client.ping(9);
+    let elapsed = started.elapsed();
+    done_tx.send(()).unwrap();
+    peer.join().unwrap();
+    assert!(
+        matches!(result, Err(ClientError::Wire(WireError::Io(_)))),
+        "{result:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "the client must give up within seconds, took {elapsed:?}"
+    );
 }
 
 #[test]

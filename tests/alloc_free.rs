@@ -179,7 +179,8 @@ fn an_extraction_builds_one_rig_per_window_shape() {
     // A paper-hardened GCD enclave of 68 steps. Rebuilding a rig whenever
     // a step's windows move made 3,629 allocations per warm extraction;
     // one rig per shape (the 8 x 32 B sweep, then 16, 8, 4 and 2 B) leaves
-    // about 500: the schedules, the step records and five rig builds.
+    // about 500: the runs' window buffers, the step records and five rig
+    // builds.
     let victim = GcdVictim::build(27, 12, &VictimConfig::paper_hardened()).unwrap();
     let mut enclave = Enclave::new(victim.program().clone());
     let mut core = Core::new(UarchConfig::default());
