@@ -72,37 +72,22 @@ pub type DomainId = u16;
 /// range can reach it.
 const INVALID: u64 = u64::MAX;
 
-/// One BTB slot: a (truncated) branch location and its predicted target.
-///
-/// The location is packed into one key, `tag << 5 | offset`, so that the
-/// Takeaway-2 range query over a set is a single subtract-and-compare per
-/// way. An empty slot's key is [`INVALID`]; its other fields are stale.
+/// What a BTB slot predicts, kept apart from its key so that the range
+/// query scans keys alone. An empty slot's payload is stale.
 #[derive(Clone, Copy, Debug)]
-struct Slot {
-    key: u64,
+struct Payload {
     target: VirtAddr,
     /// Owning security domain (only consulted when isolation is enabled).
     domain: DomainId,
     kind: BranchKind,
-    /// Recency rank of the way within its set, 0 for the most recently
-    /// used. A set's ranks are always a permutation of `0..ways`, empty
-    /// ways included, so they order the ways exactly as last-use
-    /// timestamps would.
-    age: u16,
 }
 
-impl Slot {
-    const EMPTY: Slot = Slot {
-        key: INVALID,
+impl Payload {
+    const EMPTY: Payload = Payload {
         target: VirtAddr::new(0),
         domain: 0,
         kind: BranchKind::DirectJump,
-        age: 0,
     };
-
-    fn is_valid(&self) -> bool {
-        self.key != INVALID
-    }
 }
 
 /// A successful BTB lookup.
@@ -167,11 +152,21 @@ pub struct BtbStats {
 #[derive(Clone, Debug)]
 pub struct Btb {
     geometry: BtbGeometry,
-    /// All `sets * ways` slots, set-major: way `w` of set `s` lives at
-    /// `s * ways + w`. Way order within a set is the tie-break order of
-    /// every search below: the first nearest hit, the first matching way,
-    /// the first free way.
-    slots: Vec<Slot>,
+    /// The `sets * ways` slots as three set-major arrays: way `w` of set
+    /// `s` lives at `s * ways + w` in each. Way order within a set is the
+    /// tie-break order of every search below: the first nearest hit, the
+    /// first matching way, the first free way.
+    ///
+    /// Each slot's location packed as `tag << 5 | offset`, so that the
+    /// Takeaway-2 range query over a set is one subtract-and-compare per
+    /// way over one dense array; [`INVALID`] marks an empty slot.
+    keys: Vec<u64>,
+    /// Each slot's recency rank within its set, 0 for the most recently
+    /// used. A set's ranks are always a permutation of `0..ways`, empty
+    /// ways included, so they order the ways exactly as last-use
+    /// timestamps would.
+    ranks: Vec<u16>,
+    payloads: Vec<Payload>,
     /// `sets - 1`: a PC's set is `(pc >> 5) & set_mask`.
     set_mask: u64,
     /// First tag bit, `5 + log2(sets)`.
@@ -182,10 +177,6 @@ pub struct Btb {
     isolation: bool,
     domain: DomainId,
 }
-
-// The packed key and the 16-bit rank keep a slot within 24 bytes, so the
-// default 4096-entry BTB is a single 96 KiB allocation.
-const _: () = assert!(std::mem::size_of::<Slot>() <= 24);
 
 impl Btb {
     /// Creates an empty BTB with the given geometry.
@@ -212,15 +203,17 @@ impl Btb {
         );
         let tag_bits = geometry.tag_cutoff_bit - tag_shift;
         assert!(tag_bits + 5 < 64, "tag too wide to pack with its offset");
+        let slots = geometry.sets * geometry.ways;
         Btb {
             geometry,
-            slots: (0..geometry.ways)
-                .map(|way| Slot {
-                    age: way as u16,
-                    ..Slot::EMPTY
-                })
+            keys: vec![INVALID; slots],
+            // One set's ranks, copied: a division per slot would make every
+            // `Core::new` (one per served trial) measurably slower.
+            ranks: (0..geometry.ways)
+                .map(|way| way as u16)
                 .collect::<Vec<_>>()
                 .repeat(geometry.sets),
+            payloads: vec![Payload::EMPTY; slots],
             set_mask: geometry.sets as u64 - 1,
             tag_shift,
             tag_mask: (1 << tag_bits) - 1,
@@ -275,39 +268,32 @@ impl Btb {
         (set, key)
     }
 
-    /// The ways of `set`, in way order.
+    /// The slot indices of `set`'s ways, in way order.
     #[inline]
-    fn set(&self, set: usize) -> &[Slot] {
+    fn ways(&self, set: usize) -> std::ops::Range<usize> {
         let ways = self.geometry.ways;
-        &self.slots[set * ways..(set + 1) * ways]
+        set * ways..(set + 1) * ways
     }
 
-    /// The ways of `set`, in way order, for update.
-    #[inline]
-    fn set_mut(&mut self, set: usize) -> &mut [Slot] {
-        let ways = self.geometry.ways;
-        &mut self.slots[set * ways..(set + 1) * ways]
-    }
-
-    /// Marks `way` of `set` as its most recently used way.
+    /// Marks `way` of `set` as its most recently used way: every way more
+    /// recent than it ages by one, without a branch per way.
     #[inline]
     fn touch(&mut self, set: usize, way: usize) {
-        let ways = self.set_mut(set);
-        let age = ways[way].age;
-        if age == 0 {
+        let ways = self.ways(set);
+        let ranks = &mut self.ranks[ways];
+        let rank = ranks[way];
+        if rank == 0 {
             // Already the most recent: the common case when an entry is
             // hit and then updated by the same branch.
             return;
         }
-        for slot in ways.iter_mut() {
-            if slot.age < age {
-                slot.age += 1;
-            }
+        for other in ranks.iter_mut() {
+            *other += u16::from(*other < rank);
         }
-        ways[way].age = 0;
+        ranks[way] = 0;
     }
 
-    /// Position of `(set, way)` in the slot array.
+    /// Position of `(set, way)` in the slot arrays.
     ///
     /// # Panics
     ///
@@ -334,11 +320,22 @@ impl Btb {
         // entry displaces the best so far, so the first way wins ties.
         let beyond = 0x20 - (lo & 0x1f);
         let (mut way, mut distance) = (0, beyond);
-        let (isolation, domain) = (self.isolation, self.domain);
-        for (w, slot) in self.set(set).iter().enumerate() {
-            let d = slot.key.wrapping_sub(lo);
-            if d < distance && (!isolation || slot.domain == domain) {
-                (way, distance) = (w, d);
+        let ways = self.ways(set);
+        if self.isolation {
+            let payloads = &self.payloads[ways.clone()];
+            for (w, (&key, payload)) in self.keys[ways].iter().zip(payloads).enumerate() {
+                let d = key.wrapping_sub(lo);
+                if d < distance && payload.domain == self.domain {
+                    (way, distance) = (w, d);
+                }
+            }
+        } else {
+            // Selects rather than branches: which way is nearest is data
+            // the branch predictor of the host cannot learn.
+            for (w, &key) in self.keys[ways].iter().enumerate() {
+                let d = key.wrapping_sub(lo);
+                way = if d < distance { w } else { way };
+                distance = distance.min(d);
             }
         }
         if distance == beyond {
@@ -347,13 +344,13 @@ impl Btb {
         }
         self.touch(set, way);
         self.stats.hits += 1;
-        let slot = &self.slots[self.slot_index(set, way)];
+        let payload = self.payloads[self.slot_index(set, way)];
         Some(BtbHit {
             set,
             way,
             branch_pc: pc.offset(distance),
-            target: slot.target,
-            kind: slot.kind,
+            target: payload.target,
+            kind: payload.kind,
         })
     }
 
@@ -362,9 +359,9 @@ impl Btb {
     /// Primarily for tests and introspection.
     pub fn entry_at(&self, pc: VirtAddr) -> Option<(usize, usize)> {
         let (set, key) = self.index(pc);
-        self.set(set)
+        self.keys[self.ways(set)]
             .iter()
-            .position(|slot| slot.key == key)
+            .position(|&k| k == key)
             .map(|way| (set, way))
     }
 
@@ -381,33 +378,27 @@ impl Btb {
     pub fn allocate(&mut self, pc: VirtAddr, target: VirtAddr, kind: BranchKind) {
         let (set, key) = self.index(pc);
         let (isolation, domain) = (self.isolation, self.domain);
-        let ways = self.set(set);
+        let ways = self.ways(set);
+        let (keys, payloads) = (&self.keys[ways.clone()], &self.payloads[ways.clone()]);
         // In-place update of a matching entry (within the same domain when
         // isolation is enabled; cross-domain aliases coexist in other ways),
         // else a free way, else the LRU way.
-        let way = ways
-            .iter()
-            .position(|slot| slot.key == key && (!isolation || slot.domain == domain))
-            .or_else(|| ways.iter().position(|slot| !slot.is_valid()));
-        let way = match way {
-            Some(way) => way,
-            None => {
-                let lru = ways
-                    .iter()
-                    .position(|slot| usize::from(slot.age) == ways.len() - 1)
-                    .expect("a set's ranks are a permutation of its ways");
-                self.stats.evictions += 1;
-                lru
-            }
-        };
+        let way = (0..keys.len())
+            .position(|w| keys[w] == key && (!isolation || payloads[w].domain == domain))
+            .or_else(|| keys.iter().position(|&k| k == INVALID));
+        let way = way.unwrap_or_else(|| {
+            self.stats.evictions += 1;
+            self.ranks[ways.clone()]
+                .iter()
+                .position(|&rank| usize::from(rank) == ways.len() - 1)
+                .expect("a set's ranks are a permutation of its ways")
+        });
         let index = self.slot_index(set, way);
-        let slot = &mut self.slots[index];
-        *slot = Slot {
-            key,
+        self.keys[index] = key;
+        self.payloads[index] = Payload {
             target,
             domain,
             kind,
-            age: slot.age,
         };
         self.touch(set, way);
         self.stats.allocations += 1;
@@ -416,10 +407,7 @@ impl Btb {
     /// Empties the slot at `(set, way)`, returning whether it held an entry.
     fn invalidate(&mut self, set: usize, way: usize) -> bool {
         let index = self.slot_index(set, way);
-        let slot = &mut self.slots[index];
-        let was_valid = slot.is_valid();
-        slot.key = INVALID;
-        was_valid
+        std::mem::replace(&mut self.keys[index], INVALID) != INVALID
     }
 
     /// Deallocates the entry at `(set, way)` — the false-hit response
@@ -450,25 +438,23 @@ impl Btb {
     /// Invalidates every entry (a full BTB flush, e.g. the cleanup routine
     /// the paper borrows from BranchScope).
     pub fn flush(&mut self) {
-        for slot in &mut self.slots {
-            slot.key = INVALID;
-        }
+        self.keys.fill(INVALID);
     }
 
     /// Applies an IBPB-style barrier: flushes **only indirect-branch
     /// entries**, per Intel's documented behaviour (§4.1). Direct-jump and
     /// conditional-branch entries — the ones NightVision uses — survive.
     pub fn indirect_predictor_barrier(&mut self) {
-        for slot in &mut self.slots {
-            if slot.is_valid() && slot.kind.is_indirect() {
-                slot.key = INVALID;
+        for (key, payload) in self.keys.iter_mut().zip(&self.payloads) {
+            if payload.kind.is_indirect() {
+                *key = INVALID;
             }
         }
     }
 
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|slot| slot.is_valid()).count()
+        self.keys.iter().filter(|&&key| key != INVALID).count()
     }
 
     /// Iterates over the recorded `(branch_low_bits, target, kind)` of all
@@ -477,14 +463,15 @@ impl Btb {
     pub fn valid_entries(&self) -> Vec<(u64, VirtAddr, BranchKind)> {
         let ways = self.geometry.ways;
         let mut out: Vec<_> = self
-            .slots
+            .keys
             .iter()
+            .zip(&self.payloads)
             .enumerate()
-            .filter(|(_, slot)| slot.is_valid())
-            .map(|(index, slot)| {
+            .filter(|(_, (&key, _))| key != INVALID)
+            .map(|(index, (&key, payload))| {
                 let set = (index / ways) as u64;
-                let low = (slot.key >> 5) << self.tag_shift | set << 5 | (slot.key & 0x1f);
-                (low, slot.target, slot.kind)
+                let low = (key >> 5) << self.tag_shift | set << 5 | (key & 0x1f);
+                (low, payload.target, payload.kind)
             })
             .collect();
         out.sort_by_key(|&(low, _, _)| low);
