@@ -422,12 +422,13 @@ impl NvSupervisor {
     /// `record` changes, so every step is measured against the windows it
     /// had when the run began. The first failure propagates unchanged.
     ///
-    /// The rig is calibrated at the run's first measured step and
-    /// whenever the windows change; otherwise the previous step's probe
-    /// is this step's prime, and an unmeasured step in between costs one
-    /// re-prime. `rig` carries the rig from run to run: new windows of its
-    /// shape move it ([`AttackerRig::retarget`]), so a rig is built once
-    /// per shape.
+    /// `rig` carries the rig from run to run. A step whose windows are the
+    /// rig's own keeps it: the previous step's probe is this step's prime,
+    /// and only an unmeasured step in between (or a run boundary) costs a
+    /// re-prime. New windows of the rig's shape move it
+    /// ([`AttackerRig::retarget`]) with its calibration, and it is primed
+    /// once. Only a new shape builds and calibrates a rig, so each shape is
+    /// calibrated once per extraction.
     fn stepped_run(
         &self,
         enclave: &mut Enclave,
@@ -444,11 +445,10 @@ impl NvSupervisor {
         }
         // The current step's windows.
         let mut pws = Vec::new();
-        // Whether `rig` has been calibrated in this run.
-        let mut calibrated = false;
-        // Whether the victim stepped unmeasured since the rig's last probe,
-        // which may have disturbed the entries it primed.
-        let mut stale = false;
+        // Whether the entries the rig primed may have been disturbed since
+        // its last probe: the run just began, or the victim stepped
+        // unmeasured since.
+        let mut stale = true;
         // Page faults are absorbed inside the step loop below, so each outer
         // iteration retires exactly one instruction and `index` can double as
         // the step budget counter.
@@ -459,32 +459,28 @@ impl NvSupervisor {
             };
             pws.clear();
             choose_pws(state, &mut pws);
-            // Prime: calibrating primes the rig, and so does the previous
-            // step's probe, unless the victim stepped unmeasured since.
-            // Each run calibrates afresh at its first measured step. The
-            // windows are chosen in address order, the order a rig keeps
-            // them in, so the rig's own windows say whether it can stay as
-            // it is or move ([`AttackerRig::retarget`]).
+            // Prime: calibrating or moving the rig primes it, and so does
+            // the previous step's probe, unless the victim stepped
+            // unmeasured since. The windows are chosen in address order, the
+            // order a rig keeps them in, so the rig's own windows say whether
+            // it can stay as it is or move ([`AttackerRig::retarget`]).
             if pws.is_empty() {
                 stale = true;
             } else {
+                // A moved rig's entries still sit at its old windows.
+                let moved = rig
+                    .as_mut()
+                    .is_some_and(|rig| rig.pws() != pws.as_slice() && rig.retarget(&pws));
                 match rig {
-                    Some(rig) if calibrated && rig.pws() == pws.as_slice() => {
-                        if stale {
+                    Some(rig) if rig.pws() == pws.as_slice() => {
+                        if stale || moved {
                             rig.prime(core)?;
                         }
                     }
-                    _ => {
-                        let reused = rig
-                            .as_mut()
-                            .is_some_and(|rig| rig.pws() == pws.as_slice() || rig.retarget(&pws));
-                        if !reused {
-                            *rig = Some(AttackerRig::new(pws.clone())?);
-                        }
-                        rig.as_mut().expect("just set").calibrate(core)?;
-                        calibrated = true;
-                    }
+                    _ => rig.insert(AttackerRig::new(pws.clone())?).calibrate(core)?,
                 }
+                #[cfg(test)]
+                tests::check_ready(rig.as_ref().expect("set above"), core, moved);
                 stale = false;
             }
             // Step (handling controlled-channel faults transparently).
@@ -535,6 +531,62 @@ mod tests {
     use nv_isa::{Assembler, Cond, Reg};
     use nv_obs::Recorder;
     use nv_uarch::UarchConfig;
+    use nv_victims::{BnCmpVictim, GcdVictim, VictimConfig};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Steps [`check_ready`] has checked on this thread, `None` while
+        /// checking is off.
+        static CHECKED: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    }
+
+    /// What `stepped_run` relies on once a measured step's rig is ready,
+    /// checked on copies of the rig and the live core so that the run
+    /// goes on unchanged: a moved rig carries exactly the calibration a
+    /// copy of it takes there, and a probe with no victim step between
+    /// reads every window quiet, so the rig is primed. Counts checked
+    /// steps and moves while [`CHECKED`] is on.
+    pub(super) fn check_ready(rig: &AttackerRig, core: &Core, moved: bool) {
+        let Some((steps, moves)) = CHECKED.get() else {
+            return;
+        };
+        assert!(
+            !moved || rig.carries_its_calibration(core),
+            "moved to {:?}",
+            rig.pws()
+        );
+        let quiet = rig.clone().probe(&mut core.clone());
+        assert!(
+            quiet.as_deref().is_ok_and(|hits| !hits.contains(&true)),
+            "{:?} at {:?}",
+            quiet,
+            rig.pws()
+        );
+        CHECKED.set(Some((steps + 1, moves + usize::from(moved))));
+    }
+
+    #[test]
+    fn a_moved_rig_carries_its_calibration_and_is_primed() {
+        // The proof obligation for carried baselines, at every measured
+        // step of three extractions on a quiet core: the paper-hardened
+        // GCD and a one- and a three-limb bn_cmp.
+        let config = VictimConfig::paper_hardened();
+        let victims = [
+            GcdVictim::build(27, 12, &config),
+            BnCmpVictim::build(&[7], &[5], &config),
+            BnCmpVictim::build(&[1, 2, 3], &[1, 9, 3], &config),
+        ];
+        CHECKED.set(Some((0, 0)));
+        for victim in victims {
+            let mut enclave = Enclave::new(victim.unwrap().program().clone());
+            let mut core = Core::new(UarchConfig::default());
+            NvSupervisor::default()
+                .extract_trace(&mut enclave, &mut core)
+                .unwrap();
+        }
+        let (steps, moves) = CHECKED.take().unwrap();
+        assert!(steps > 3000 && moves > 350, "{steps} steps, {moves} moves");
+    }
 
     fn extract(build: impl FnOnce(&mut Assembler)) -> (ExtractedTrace, Vec<VirtAddr>) {
         let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
@@ -578,12 +630,16 @@ mod tests {
         // 32-byte block, at offsets 0, 7, 11, 12, 16 and 26 (the halt).
         // Each of the 21 runs (16 sweep, 4 halvings, 1 final) probes every
         // step once and re-primes once, after the page fault on entry. A
-        // rig is calibrated only where the windows change from one step to
-        // the next: once per sweep run (all steps share a page) = 16;
-        // halving runs 1-4 measure the intervals [0,32); [0,16) x4 and
-        // [16,32) x2; [0,8) [0,8) [8,16) [8,16) [16,24) [24,32); then six
-        // distinct ones = 1 + 2 + 4 + 6; the final run six distinct
-        // two-byte windows = 6.
+        // rig is calibrated once per shape: the 8 x 32 B sweep, then one
+        // window of 16, 8, 4 and 2 B (the final run's 2-byte windows share
+        // the last halving's shape) = 5. It is moved, and primed there,
+        // wherever the windows change within a shape: at the first step of
+        // sweep runs 2-16 (15); halving runs 1-4 measure the intervals
+        // [0,32); [0,16) x4 and [16,32) x2; [0,8) [0,8) [8,16) [8,16)
+        // [16,24) [24,32); then six distinct ones, so they move 0, 1, 3
+        // and 5 times; the final run moves at each of its six distinct
+        // two-byte windows (6). No run starts on the windows the previous
+        // one ended with, so none re-primes a kept rig.
         let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
         straight_line(&mut asm);
         let mut enclave = Enclave::new(asm.finish().unwrap());
@@ -595,19 +651,20 @@ mod tests {
         assert_eq!(trace.len(), 6);
         let metrics = core.detach_obs().unwrap().metrics();
         let spans = |phase| metrics.phase(phase).map_or(0, |stats| stats.count);
-        assert_eq!(spans(Phase::Calibrate), 16 + (1 + 2 + 4 + 6) + 6);
+        assert_eq!(spans(Phase::Calibrate), 5);
         assert_eq!(spans(Phase::Probe), 21 * 6);
-        assert_eq!(spans(Phase::Prime), 21);
+        assert_eq!(spans(Phase::Prime), 21 + 15 + (1 + 3 + 5) + 6);
     }
 
     #[test]
-    fn every_run_calibrates_at_its_first_measured_step() {
+    fn a_rig_kept_across_runs_is_calibrated_once() {
         // Three runs measure every step of the straight-line program
         // against one fixed window, so each run starts on exactly the
         // windows the rig carried over from the previous run's last step.
-        // The rig is reused but still calibrated afresh at each run's first
-        // measured step, and the deterministic re-executions read the same
-        // matches.
+        // The rig is calibrated once, in the first run; each later run
+        // re-primes it at its first step (the victim ran to completion in
+        // between) and again after the page fault on entry, like the first
+        // run. The deterministic re-executions read the same matches.
         let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
         straight_line(&mut asm);
         let mut enclave = Enclave::new(asm.finish().unwrap());
@@ -638,7 +695,8 @@ mod tests {
         assert!(runs.iter().all(|run| *run == runs[0]), "{runs:?}");
         let metrics = core.detach_obs().unwrap().metrics();
         let spans = |phase| metrics.phase(phase).map_or(0, |stats| stats.count);
-        assert_eq!(spans(Phase::Calibrate), 3);
+        assert_eq!(spans(Phase::Calibrate), 1);
+        assert_eq!(spans(Phase::Prime), 1 + 2 * 2);
         assert_eq!(spans(Phase::Probe), 3 * 6);
     }
 

@@ -22,8 +22,8 @@
 //! `call`, a narrow window's `jmp8` to its `ret`) is the difference of two
 //! addresses that are each a window bound plus a constant, so both move
 //! together when every window moves by the same distance. A rig is
-//! therefore built once per shape and moved to each new position of it
-//! ([`AttackerRig::retarget`]) rather than rebuilt.
+//! therefore built and calibrated once per shape and moved to each new
+//! position of it ([`AttackerRig::retarget`]) rather than rebuilt.
 
 use std::fmt;
 use std::ops::Deref;
@@ -352,8 +352,10 @@ impl AttackerRig {
     /// would build on `pws` at this rig's alias distance, byte for byte:
     /// by the shape invariant (module docs) no displacement changes, so no
     /// byte is patched, and the pre-decoded image only moves
-    /// ([`Machine::rebase`]). Like a fresh rig it is uncalibrated: call
-    /// [`AttackerRig::calibrate`] before probing. Allocates nothing.
+    /// ([`Machine::rebase`]). It keeps its calibration, since in a quiet
+    /// core a shape's timings do not depend on where it sits (DESIGN.md
+    /// §8 says what that means under noise); prime it before the first
+    /// probe at the new windows. Allocates nothing.
     pub fn retarget(&mut self, pws: &[PwSpec]) -> bool {
         let Some(first) = pws.first() else {
             return false;
@@ -372,8 +374,15 @@ impl AttackerRig {
             *jmp = jmp.offset_signed(shift);
         }
         self.pws.copy_from_slice(pws);
-        self.baseline.clear();
         true
+    }
+
+    /// Whether calibrating a copy of this rig on a copy of `core` derives
+    /// exactly the baseline the rig carries.
+    #[cfg(test)]
+    pub(crate) fn carries_its_calibration(&self, core: &Core) -> bool {
+        let mut fresh = self.clone();
+        fresh.calibrate(&mut core.clone()).is_ok() && fresh.baseline == self.baseline
     }
 
     /// The monitored windows, sorted by address.
@@ -1183,12 +1192,19 @@ mod tests {
         )
     }
 
-    /// Calibrates `rig` on a fresh core, runs a victim through the start
-    /// of its first window's block, and probes: everything the core
-    /// observed.
-    fn calibrate_and_probe(rig: &mut AttackerRig) -> (Matches, CoreStats, u64, Vec<LbrRecord>) {
+    /// Calibrates `rig` on a fresh core (or only primes it, probing with
+    /// the baseline it carries), runs a victim through the start of its
+    /// first window's block, and probes: everything the core observed.
+    fn probe_victim(
+        rig: &mut AttackerRig,
+        calibrate: bool,
+    ) -> (Matches, CoreStats, u64, Vec<LbrRecord>) {
         let mut core = core();
-        rig.calibrate(&mut core).unwrap();
+        if calibrate {
+            rig.calibrate(&mut core).unwrap();
+        } else {
+            rig.prime(&mut core).unwrap();
+        }
         let mut victim = victim_nops(rig.pws[0].start().block_base().value(), 40);
         core.reset_frontend();
         core.run(&mut victim, 100);
@@ -1236,19 +1252,24 @@ mod tests {
         for (from, to, alias) in cases {
             let mut moved = AttackerRig::with_alias_distance(from.clone(), alias).unwrap();
             // Move a rig that has been used, as NV-S does.
-            calibrate_and_probe(&mut moved);
+            probe_victim(&mut moved, true);
             assert!(moved.retarget(&to), "{from:?} -> {to:?}");
             let mut fresh = AttackerRig::with_alias_distance(to.clone(), alias).unwrap();
             assert!(parts(&moved) == parts(&fresh), "{from:?} -> {to:?}");
-            assert!(matches!(
-                moved.probe(&mut core()),
-                Err(AttackError::NotCalibrated)
-            ));
-            let observed = calibrate_and_probe(&mut moved);
+            // The moved rig probes with the baseline it carries and reads
+            // what a fresh build calibrated at the new windows reads.
+            let observed = probe_victim(&mut moved, false);
             assert!(observed.0[0], "the victim reaches the first window");
             assert_eq!(
-                observed,
-                calibrate_and_probe(&mut fresh),
+                observed.0,
+                probe_victim(&mut fresh, true).0,
+                "{from:?} -> {to:?}"
+            );
+            assert_eq!(moved.baseline, fresh.baseline, "{from:?} -> {to:?}");
+            // Primed alike on twin cores, the two are indistinguishable.
+            assert_eq!(
+                probe_victim(&mut moved, false),
+                probe_victim(&mut fresh, false),
                 "{from:?} -> {to:?}"
             );
         }
