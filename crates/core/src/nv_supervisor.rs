@@ -528,7 +528,7 @@ impl NvSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nv_isa::{Assembler, Cond, Reg};
+    use nv_isa::{Assembler, Cond, Program, Reg, Segment};
     use nv_obs::Recorder;
     use nv_uarch::UarchConfig;
     use nv_victims::{BnCmpVictim, GcdVictim, VictimConfig};
@@ -740,6 +740,99 @@ mod tests {
         let matched: Vec<_> = steps.iter().map(|state| state.resolved).collect();
         assert_eq!(matched[1], None);
         assert_eq!(matched[2], Some(0), "{matched:?}");
+    }
+
+    /// Extracts `program` on a core prepared by `arm` and returns the error
+    /// with the `recon` and `extraction_run` spans the extraction opened.
+    fn extraction_error(program: Program, arm: impl FnOnce(&mut Core)) -> (AttackError, u64, u64) {
+        let mut enclave = Enclave::new(program);
+        let mut core = Core::new(UarchConfig::default());
+        core.attach_obs(Recorder::new(0));
+        arm(&mut core);
+        let err = NvSupervisor::default()
+            .extract_trace(&mut enclave, &mut core)
+            .unwrap_err();
+        let metrics = core.detach_obs().unwrap().metrics();
+        let spans = |name| metrics.phase(Phase::Custom(name)).map_or(0, |s| s.count);
+        (err, spans("recon"), spans("extraction_run"))
+    }
+
+    fn straight_line_program() -> Program {
+        let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
+        straight_line(&mut asm);
+        asm.finish().unwrap()
+    }
+
+    #[test]
+    fn an_enclave_decoding_garbage_wedges_the_recon_run() {
+        let base = VirtAddr::new(0x40_0000);
+        let mut program = Program::new();
+        program
+            .add_segment(Segment::new(base, vec![0xff; 16]))
+            .unwrap();
+        program.set_entry(base);
+        let (err, recon, runs) = extraction_error(program, |_| {});
+        assert_eq!(
+            err,
+            AttackError::probe_failed(ProbeFailureCause::ChainWedged)
+        );
+        assert_eq!((recon, runs), (1, 0));
+    }
+
+    #[test]
+    fn an_enclave_that_never_halts_exhausts_the_step_budget() {
+        let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
+        asm.label("spin");
+        asm.jmp8("spin");
+        let (err, recon, runs) = extraction_error(asm.finish().unwrap(), |_| {});
+        assert_eq!(
+            err,
+            AttackError::probe_failed(ProbeFailureCause::StepBudgetExhausted {
+                consumed: 200_000,
+                limit: 200_000,
+            })
+        );
+        assert_eq!((recon, runs), (1, 0));
+    }
+
+    #[test]
+    fn an_armed_watchdog_stops_the_recon_run() {
+        let (err, recon, runs) =
+            extraction_error(straight_line_program(), |core| core.arm_watchdog(3));
+        assert_eq!(
+            err,
+            AttackError::DeadlineExceeded {
+                consumed: 3,
+                limit: 3
+            }
+        );
+        assert_eq!((recon, runs), (1, 0));
+    }
+
+    #[test]
+    fn an_armed_watchdog_stops_a_sweep_run() {
+        let (err, recon, runs) =
+            extraction_error(straight_line_program(), |core| core.arm_watchdog(2_000));
+        // The check runs before each victim step, so the rig's chain runs
+        // since the last one overshoot the limit; the seventh sweep run
+        // is the one that crosses it.
+        assert_eq!(
+            err,
+            AttackError::DeadlineExceeded {
+                consumed: 2_017,
+                limit: 2_000
+            }
+        );
+        assert_eq!((recon, runs), (1, 7));
+    }
+
+    #[test]
+    fn a_raised_cancel_flag_stops_the_extraction() {
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let (err, recon, runs) =
+            extraction_error(straight_line_program(), |core| core.set_cancel_flag(flag));
+        assert_eq!(err, AttackError::Cancelled);
+        assert_eq!((recon, runs), (1, 0));
     }
 
     #[test]
