@@ -3,15 +3,18 @@
 //! enclave executions"), measuring the attack's run budget and extraction
 //! quality.
 //!
-//! Expected: the enclave-execution count follows `128/N + 5` exactly;
-//! extraction quality is N-independent (each window measures its own BTB
-//! set, so chaining is free parallelism).
+//! Expected: the enclave-execution count follows `⌈128/N⌉ + 6` exactly
+//! (counted from the extraction's `recon` and `extraction_run` spans and
+//! asserted against that formula); extraction quality is N-independent
+//! (each window measures its own BTB set, so chaining is free
+//! parallelism).
 
 use std::collections::BTreeSet;
 
 use nightvision::{fingerprint, trace, NvSupervisor, SupervisorConfig};
 use nv_bench::default_gcd;
 use nv_isa::VirtAddr;
+use nv_obs::{Phase, Recorder};
 use nv_os::Enclave;
 use nv_uarch::{Core, UarchConfig};
 
@@ -24,21 +27,24 @@ fn main() {
     for n in [1usize, 2, 4, 8, 16] {
         let config = SupervisorConfig {
             windows_per_call: n,
-            ..SupervisorConfig::default()
         };
         let mut enclave = Enclave::new(image.program().clone());
         let mut core = Core::new(UarchConfig::default());
+        core.attach_obs(Recorder::new(0));
         let extracted = NvSupervisor::new(config)
             .extract_trace(&mut enclave, &mut core)
             .expect("extraction");
+        let metrics = core.detach_obs().expect("attached").metrics();
+        let spans = |name| metrics.phase(Phase::Custom(name)).map_or(0, |s| s.count);
+        let runs = spans("recon") + spans("extraction_run");
         let victim_set = trace::slice_extracted(&extracted)
             .into_iter()
             .max_by_key(|f| f.len())
             .map(|f| f.offset_set())
             .unwrap_or_default();
         let similarity = fingerprint::similarity(&victim_set, &reference);
-        // Runs: 1 reconnaissance + ceil(128/N) sweeps + 4 halvings + 1 byte.
-        let runs = 1 + 128usize.div_ceil(n) + 4 + 1;
+        // Fig. 10: 1 reconnaissance + ceil(128/N) sweeps + 4 halvings + 1 byte.
+        assert_eq!(runs, 1 + 128u64.div_ceil(n as u64) + 4 + 1, "N = {n}");
         println!(
             "{n:<4} {runs:>6} ({} sweep runs)              {:>6.1}%",
             128usize.div_ceil(n),

@@ -13,9 +13,17 @@
 //!    each probe is the next step's prime;
 //! 4. **PW traversal** (Fig. 10): across deterministic re-executions,
 //!    windows shrink from 32 bytes down to a single byte — first a sweep of
-//!    128 disjoint 32-byte windows (`128/N` runs), then a binary search in
-//!    the lowest matched window, then a final ±1-byte disambiguation that
-//!    exploits the lookup's `offset ≥ PC` lower bound (Takeaway 2).
+//!    128 disjoint 32-byte windows (`⌈128/N⌉` runs), then a binary search
+//!    in the lowest matched window, then a final ±1-byte disambiguation
+//!    that exploits the lookup's `offset ≥ PC` lower bound (Takeaway 2).
+//!
+//! [`NvSupervisor::extract_trace`] writes Fig. 10's run count out as a
+//! list of passes — one reconnaissance run, `⌈128/N⌉` sweep runs, four
+//! halvings and one final-byte run — and drives the enclave through each
+//! with the same controlled-channel loop.
+
+use std::iter;
+use std::ops::Range;
 
 use nv_isa::{VirtAddr, BLOCK_BYTES, PAGE_BYTES};
 use nv_obs::Phase;
@@ -33,20 +41,14 @@ const MAX_STEPS: usize = 200_000;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SupervisorConfig {
     /// Windows primed per NV-Core call in the discovery pass (`N` of
-    /// Fig. 10; the first pass takes `128 / N` enclave executions).
+    /// Fig. 10; the first pass takes `⌈128 / N⌉` enclave executions).
     pub windows_per_call: usize,
-    /// §6.3 candidate disambiguation: when a step's measured PC equals the
-    /// *next* step's, the earlier one is (almost always) the speculated
-    /// branch target that the next step then architecturally reached —
-    /// "ruling out the repeated candidates". Ruled-out steps report no PC.
-    pub rule_out_repeats: bool,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             windows_per_call: 8,
-            rule_out_repeats: true,
         }
     }
 }
@@ -111,13 +113,79 @@ impl ExtractedTrace {
 struct StepState {
     page: u64,
     data_access: bool,
-    /// Lowest matched 32-byte window (page offset of its start).
-    lowest_window: Option<u64>,
-    /// Current refinement interval (page offsets, half-open).
-    lo: u64,
-    hi: u64,
+    /// Candidate page offsets (half-open): the lowest matched 32-byte
+    /// window, halved by each refinement run; `None` if no window matched.
+    candidate: Option<Range<u64>>,
     /// Final resolved page offset.
     resolved: Option<u64>,
+}
+
+/// One enclave execution of Fig. 10, named by what it measures per step.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Pass<'a> {
+    /// Run 0: the controlled channel alone. It measures nothing and
+    /// records each step's page number and data access.
+    Recon,
+    /// Every step against the same group of 32-byte windows (page
+    /// offsets); a step's candidate is the lowest window that matched.
+    Sweep(&'a [u64]),
+    /// Halves each step's candidate: a match keeps the lower half.
+    Halve,
+    /// For a step with candidate `[x, x+2)`, a window whose signal byte is
+    /// `x`. A match means the fetch started at or below `x`, i.e. the
+    /// instruction starts at `x`; otherwise it starts at `x+1`.
+    FinalByte,
+}
+
+impl Pass<'_> {
+    /// Pushes the step's windows, in address order (possibly none).
+    fn windows(self, state: &StepState, pws: &mut Vec<PwSpec>) {
+        let base = VirtAddr::new(state.page * PAGE_BYTES);
+        match (self, &state.candidate) {
+            (Pass::Sweep(offsets), _) => pws.extend(offsets.iter().map(|&offset| {
+                PwSpec::new(base.offset(offset), BLOCK_BYTES).expect("32B window is valid")
+            })),
+            (Pass::Halve, Some(c)) if c.end - c.start > 2 => pws.push(
+                PwSpec::from_range(base.offset(c.start), base.offset(midpoint(c)))
+                    .expect("refinement interval >= 2 bytes"),
+            ),
+            (Pass::FinalByte, Some(c)) => {
+                let x = base.offset(c.start);
+                pws.push(PwSpec::from_range(x - 1u64, x.offset(1)).expect("2-byte window"));
+            }
+            _ => {}
+        }
+    }
+
+    /// Applies the matches of the step's windows `pws` to its state.
+    fn record(self, state: &mut StepState, pws: &[PwSpec], matched: &[bool]) {
+        match (self, &mut state.candidate) {
+            (Pass::Sweep(_), candidate) => {
+                for (pw, _) in pws.iter().zip(matched).filter(|(_, &hit)| hit) {
+                    let offset = pw.start().page_offset();
+                    if candidate.as_ref().is_none_or(|c| offset < c.start) {
+                        *candidate = Some(offset..offset + BLOCK_BYTES);
+                    }
+                }
+            }
+            (Pass::Halve, Some(c)) => {
+                let mid = midpoint(c);
+                if matched[0] {
+                    c.end = mid;
+                } else {
+                    c.start = mid;
+                }
+            }
+            (Pass::FinalByte, Some(c)) => {
+                state.resolved = Some(if matched[0] { c.start } else { c.start + 1 });
+            }
+            _ => {}
+        }
+    }
+}
+
+fn midpoint(interval: &Range<u64>) -> u64 {
+    interval.start + (interval.end - interval.start) / 2
 }
 
 /// The NV-S attacker.
@@ -159,7 +227,8 @@ impl NvSupervisor {
     }
 
     /// Runs the complete multi-pass attack of Fig. 9/Fig. 10 and returns
-    /// the extracted trace. The enclave is reset between passes
+    /// the extracted trace: `1 + ⌈128/N⌉ + 4 + 1` runs, each under a
+    /// `recon` or `extraction_run` span. The enclave is reset between runs
     /// (deterministic re-execution).
     ///
     /// # Errors
@@ -171,61 +240,35 @@ impl NvSupervisor {
         enclave: &mut Enclave,
         core: &mut Core,
     ) -> Result<ExtractedTrace, AttackError> {
-        // Reconnaissance run: page numbers, data accesses, step count.
-        core.obs_enter(Phase::Custom("recon"));
-        let recon = self.reconnaissance(enclave, core);
-        core.obs_exit(Phase::Custom("recon"));
-        let mut steps = recon?;
-        // One rig for the whole extraction, built once per window shape and
-        // moved between steps ([`AttackerRig::retarget`]).
-        let mut rig = None;
-
-        // Pass 1 (Fig. 10): sweep 128 disjoint 32-byte windows, N per run.
-        // N is capped by the LBR budget (two records per window per probe).
+        // Fig. 10: reconnaissance; the sweep of 128 disjoint 32-byte
+        // windows, N per run (N is capped by the LBR budget, two records
+        // per window per probe); halvings of the lowest matched window down
+        // to 2 bytes; the final byte.
         let n = self
             .config
             .windows_per_call
             .clamp(1, nv_uarch::LBR_DEPTH / 2);
-        let windows_per_page = (PAGE_BYTES / BLOCK_BYTES) as usize; // 128
-        let mut group = 0;
-        while group < windows_per_page {
-            let count = n.min(windows_per_page - group);
-            let offsets: Vec<u64> = (group..group + count)
-                .map(|w| w as u64 * BLOCK_BYTES)
-                .collect();
-            core.obs_enter(Phase::Custom("extraction_run"));
-            let sweep = self.window_sweep_run(enclave, core, &mut rig, &mut steps, &offsets);
-            core.obs_exit(Phase::Custom("extraction_run"));
-            sweep?;
-            group += count;
-        }
-        for state in &mut steps {
-            if let Some(window) = state.lowest_window {
-                state.lo = window;
-                state.hi = window + BLOCK_BYTES;
-            } else {
-                state.resolved = None;
-                state.lo = u64::MAX; // nothing matched: give up on this step
-                state.hi = u64::MAX;
-            }
-        }
+        let windows: Vec<u64> = (0..PAGE_BYTES).step_by(BLOCK_BYTES as usize).collect();
+        let halvings = BLOCK_BYTES.trailing_zeros() - 1; // 32 -> 2 bytes
+        let passes = iter::once(Pass::Recon)
+            .chain(windows.chunks(n).map(Pass::Sweep))
+            .chain((0..halvings).map(|_| Pass::Halve))
+            .chain(iter::once(Pass::FinalByte));
 
-        // Passes 2..: binary-search the lowest matched window down to a
-        // 2-byte interval (one run per halving).
-        let halvings = (BLOCK_BYTES as f64).log2() as u32 - 1; // 32 -> 2
-        for _ in 0..halvings {
-            core.obs_enter(Phase::Custom("extraction_run"));
-            let refine = self.refine_run(enclave, core, &mut rig, &mut steps);
-            core.obs_exit(Phase::Custom("extraction_run"));
-            refine?;
+        let mut steps = Vec::new();
+        // One rig for the whole extraction, built once per window shape and
+        // moved between steps ([`AttackerRig::retarget`]).
+        let mut rig = None;
+        for pass in passes {
+            let span = Phase::Custom(match pass {
+                Pass::Recon => "recon",
+                _ => "extraction_run",
+            });
+            core.obs_enter(span);
+            let run = stepped_run(pass, enclave, core, &mut rig, &mut steps);
+            core.obs_exit(span);
+            run?;
         }
-
-        // Final run: disambiguate the two remaining candidate bytes using
-        // the lookup lower bound.
-        core.obs_enter(Phase::Custom("extraction_run"));
-        let last = self.final_byte_run(enclave, core, &mut rig, &mut steps);
-        core.obs_exit(Phase::Custom("extraction_run"));
-        last?;
 
         let mut measurements: Vec<StepMeasurement> = steps
             .into_iter()
@@ -237,292 +280,155 @@ impl NvSupervisor {
                 data_access: s.data_access,
             })
             .collect();
-
-        // §6.3 candidate rule-out: the speculative overshoot of step i
-        // runs ahead into step i+1's instruction (and, at taken branches,
-        // its target), so a step whose measured base equals the *next*
-        // step's base was measuring its successor's speculative footprint,
-        // not itself. Drop those PCs rather than report wrong ones.
-        if self.config.rule_out_repeats {
-            for i in 0..measurements.len().saturating_sub(1) {
-                if measurements[i].pc.is_some() && measurements[i].pc == measurements[i + 1].pc {
-                    measurements[i].pc = None;
-                }
-            }
-        }
-
+        rule_out_repeats(&mut measurements);
         Ok(ExtractedTrace {
             steps: measurements,
         })
     }
+}
 
-    /// Run 0: drive the enclave start-to-finish under the controlled
-    /// channel alone, learning per-step page numbers and data accesses.
-    fn reconnaissance(
-        &self,
-        enclave: &mut Enclave,
-        core: &mut Core,
-    ) -> Result<Vec<StepState>, AttackError> {
-        enclave.reset();
-        let pages: Vec<u64> = enclave.code_pages().to_vec();
-        for &page in &pages {
-            enclave.page_table_mut().set_executable(page, false);
+/// §6.3 candidate rule-out: the speculative overshoot of step i runs ahead
+/// into step i+1's instruction (and, at taken branches, its target), so a
+/// step whose measured PC equals the *next* step's was measuring its
+/// successor's speculative footprint, not itself. Those steps report no PC
+/// rather than a wrong one.
+fn rule_out_repeats(measurements: &mut [StepMeasurement]) {
+    for i in 1..measurements.len() {
+        if measurements[i - 1].pc.is_some() && measurements[i - 1].pc == measurements[i].pc {
+            measurements[i - 1].pc = None;
         }
-        let mut steps = Vec::new();
-        let mut current_page = None;
-        for _ in 0..MAX_STEPS {
-            AttackError::check_deadline(core)?;
-            match enclave.single_step(core) {
-                step if matches!(step.exit, StepExit::PageFault { .. }) => {
-                    let StepExit::PageFault { page } = step.exit else {
-                        unreachable!()
-                    };
-                    // Fig. 9 lines 2-4: make the next page executable,
-                    // everything else non-executable.
-                    for &p in &pages {
-                        enclave.page_table_mut().set_executable(p, p == page);
+    }
+}
+
+/// One enclave execution of `pass`. [`NvSupervisor::extract_trace`] calls
+/// it once per entry of its pass list, so the runs are Fig. 10's count.
+/// Each run is: reset, the controlled channel (every code
+/// page non-executable, and the faulting page made executable at each
+/// fault, Fig. 9 lines 2-4), and per step: `pass` puts the step's windows
+/// in a buffer, the victim steps, the rig probes, and `pass` applies the
+/// matches to the step's state. A step's windows depend on its own state
+/// alone, which only its own matches change, so every step is measured
+/// against the windows it had when the run began. The first failure
+/// propagates unchanged.
+///
+/// [`Pass::Recon`] has no steps to measure yet: it appends one state per
+/// retired step, with the page of the last fault, and a step that retires
+/// before any fault means the channel is wedged. Later runs end after the
+/// last step it found. The step budget counts retired steps, not page
+/// faults, in every run: recon too fails once 200,000 steps have retired,
+/// which only an enclave that runs that long can tell.
+///
+/// `rig` carries the rig from run to run. A step whose windows are the
+/// rig's own keeps it: the previous step's probe is this step's prime,
+/// and only an unmeasured step in between (or a run boundary) costs a
+/// re-prime. New windows of the rig's shape move it
+/// ([`AttackerRig::retarget`]) with its calibration, and it is primed
+/// once. Only a new shape builds and calibrates a rig, so each shape is
+/// calibrated once per extraction.
+fn stepped_run(
+    pass: Pass,
+    enclave: &mut Enclave,
+    core: &mut Core,
+    rig: &mut Option<AttackerRig>,
+    steps: &mut Vec<StepState>,
+) -> Result<(), AttackError> {
+    enclave.reset();
+    let pages: Vec<u64> = enclave.code_pages().to_vec();
+    for &page in &pages {
+        enclave.page_table_mut().set_executable(page, false);
+    }
+    // The page of the last fault, which the current step runs on.
+    let mut page = None;
+    // The current step's windows.
+    let mut pws = Vec::new();
+    // Whether the entries the rig primed may have been disturbed since
+    // its last probe: the run just began, or the victim stepped
+    // unmeasured since.
+    let mut stale = true;
+    // Page faults are absorbed inside the step loop below, so each outer
+    // iteration retires exactly one instruction and `index` can double as
+    // the step budget counter.
+    for index in 0..MAX_STEPS {
+        AttackError::check_deadline(core)?;
+        pws.clear();
+        match steps.get(index) {
+            Some(state) => pass.windows(state, &mut pws),
+            None if pass != Pass::Recon => return Ok(()),
+            None => {}
+        }
+        // Prime: calibrating or moving the rig primes it, and so does
+        // the previous step's probe, unless the victim stepped
+        // unmeasured since. The windows are chosen in address order, the
+        // order a rig keeps them in, so the rig's own windows say whether
+        // it can stay as it is or move ([`AttackerRig::retarget`]).
+        if pws.is_empty() {
+            stale = true;
+        } else {
+            // A moved rig's entries still sit at its old windows.
+            let moved = rig
+                .as_mut()
+                .is_some_and(|rig| rig.pws() != pws.as_slice() && rig.retarget(&pws));
+            match rig {
+                Some(rig) if rig.pws() == pws.as_slice() => {
+                    if stale || moved {
+                        rig.prime(core)?;
                     }
-                    current_page = Some(page);
                 }
-                step => {
-                    // A step retired before the controlled channel ever
-                    // reported a page: the channel is wedged.
-                    let page = current_page
-                        .ok_or(AttackError::probe_failed(ProbeFailureCause::ChainWedged))?;
-                    steps.push(StepState {
-                        page,
-                        data_access: !step.data_pages.is_empty(),
-                        lowest_window: None,
-                        lo: 0,
-                        hi: 0,
-                        resolved: None,
-                    });
-                    match step.exit {
-                        StepExit::Finished => return Ok(steps),
-                        StepExit::Retired => {}
-                        StepExit::Wedged => {
-                            return Err(AttackError::probe_failed(ProbeFailureCause::ChainWedged))
-                        }
-                        StepExit::PageFault { .. } => unreachable!(),
-                    }
-                }
+                _ => rig.insert(AttackerRig::new(pws.clone())?).calibrate(core)?,
             }
+            #[cfg(test)]
+            tests::check_ready(rig.as_ref().expect("set above"), core, moved);
+            stale = false;
         }
-        Err(AttackError::probe_failed(
-            ProbeFailureCause::StepBudgetExhausted {
-                consumed: MAX_STEPS as u64,
-                limit: MAX_STEPS as u64,
-            },
-        ))
-    }
-
-    /// One enclave execution measuring every step against the same group
-    /// of 32-byte windows (offsets are page-relative).
-    fn window_sweep_run(
-        &self,
-        enclave: &mut Enclave,
-        core: &mut Core,
-        rig: &mut Option<AttackerRig>,
-        steps: &mut [StepState],
-        window_offsets: &[u64],
-    ) -> Result<(), AttackError> {
-        self.stepped_run(
-            enclave,
-            core,
-            rig,
-            steps,
-            |state, pws| {
-                let base = VirtAddr::new(state.page * PAGE_BYTES);
-                pws.extend(window_offsets.iter().map(|&offset| {
-                    PwSpec::new(base.offset(offset), BLOCK_BYTES).expect("32B window is valid")
-                }));
-            },
-            |state, pws, matched| {
-                for (pw, &hit) in pws.iter().zip(matched) {
-                    if hit {
-                        let offset = pw.start().page_offset();
-                        state.lowest_window =
-                            Some(state.lowest_window.map_or(offset, |low| low.min(offset)));
+        // Step (handling controlled-channel faults transparently).
+        let step = loop {
+            let step = enclave.single_step(core);
+            match step.exit {
+                StepExit::PageFault { page: fault } => {
+                    for &p in &pages {
+                        enclave.page_table_mut().set_executable(p, p == fault);
                     }
-                }
-            },
-        )
-    }
-
-    /// One enclave execution halving each step's candidate interval.
-    fn refine_run(
-        &self,
-        enclave: &mut Enclave,
-        core: &mut Core,
-        rig: &mut Option<AttackerRig>,
-        steps: &mut [StepState],
-    ) -> Result<(), AttackError> {
-        self.stepped_run(
-            enclave,
-            core,
-            rig,
-            steps,
-            |state, pws| {
-                if state.lo == u64::MAX || state.hi - state.lo <= 2 {
-                    return;
-                }
-                let mid = state.lo + (state.hi - state.lo) / 2;
-                let base = VirtAddr::new(state.page * PAGE_BYTES);
-                pws.push(
-                    PwSpec::from_range(base.offset(state.lo), base.offset(mid))
-                        .expect("refinement interval >= 2 bytes"),
-                );
-            },
-            |state, _pws, matched| {
-                let mid = state.lo + (state.hi - state.lo) / 2;
-                if matched[0] {
-                    state.hi = mid;
-                } else {
-                    state.lo = mid;
-                }
-            },
-        )
-    }
-
-    /// Final run: for each step with interval `[x, x+2)`, prime a window
-    /// whose signal byte is `x`. A match means the fetch started at or
-    /// below `x`, i.e. the instruction starts at `x`; otherwise `x+1`.
-    fn final_byte_run(
-        &self,
-        enclave: &mut Enclave,
-        core: &mut Core,
-        rig: &mut Option<AttackerRig>,
-        steps: &mut [StepState],
-    ) -> Result<(), AttackError> {
-        self.stepped_run(
-            enclave,
-            core,
-            rig,
-            steps,
-            |state, pws| {
-                if state.lo == u64::MAX {
-                    return;
-                }
-                let base = VirtAddr::new(state.page * PAGE_BYTES);
-                let x = base.offset(state.lo);
-                pws.push(PwSpec::from_range(x - 1u64, x.offset(1)).expect("2-byte window"));
-            },
-            |state, _pws, matched| {
-                state.resolved = Some(if matched[0] { state.lo } else { state.lo + 1 });
-            },
-        )
-    }
-
-    /// The shared per-run driver: one extraction run — reset, controlled
-    /// channel, and per step: `choose_pws` puts the step's windows (in
-    /// address order, possibly none) in a buffer, the victim steps, the
-    /// rig probes, and `record` applies the matches to the step's state.
-    /// `record` runs only for a measured step, right after its probe; a
-    /// step's windows depend on its own state alone, which only its own
-    /// `record` changes, so every step is measured against the windows it
-    /// had when the run began. The first failure propagates unchanged.
-    ///
-    /// `rig` carries the rig from run to run. A step whose windows are the
-    /// rig's own keeps it: the previous step's probe is this step's prime,
-    /// and only an unmeasured step in between (or a run boundary) costs a
-    /// re-prime. New windows of the rig's shape move it
-    /// ([`AttackerRig::retarget`]) with its calibration, and it is primed
-    /// once. Only a new shape builds and calibrates a rig, so each shape is
-    /// calibrated once per extraction.
-    fn stepped_run(
-        &self,
-        enclave: &mut Enclave,
-        core: &mut Core,
-        rig: &mut Option<AttackerRig>,
-        steps: &mut [StepState],
-        choose_pws: impl Fn(&StepState, &mut Vec<PwSpec>),
-        mut record: impl FnMut(&mut StepState, &[PwSpec], &[bool]),
-    ) -> Result<(), AttackError> {
-        enclave.reset();
-        let pages: Vec<u64> = enclave.code_pages().to_vec();
-        for &page in &pages {
-            enclave.page_table_mut().set_executable(page, false);
-        }
-        // The current step's windows.
-        let mut pws = Vec::new();
-        // Whether the entries the rig primed may have been disturbed since
-        // its last probe: the run just began, or the victim stepped
-        // unmeasured since.
-        let mut stale = true;
-        // Page faults are absorbed inside the step loop below, so each outer
-        // iteration retires exactly one instruction and `index` can double as
-        // the step budget counter.
-        for index in 0..MAX_STEPS {
-            AttackError::check_deadline(core)?;
-            let Some(state) = steps.get_mut(index) else {
-                return Ok(());
-            };
-            pws.clear();
-            choose_pws(state, &mut pws);
-            // Prime: calibrating or moving the rig primes it, and so does
-            // the previous step's probe, unless the victim stepped
-            // unmeasured since. The windows are chosen in address order, the
-            // order a rig keeps them in, so the rig's own windows say whether
-            // it can stay as it is or move ([`AttackerRig::retarget`]).
-            if pws.is_empty() {
-                stale = true;
-            } else {
-                // A moved rig's entries still sit at its old windows.
-                let moved = rig
-                    .as_mut()
-                    .is_some_and(|rig| rig.pws() != pws.as_slice() && rig.retarget(&pws));
-                match rig {
-                    Some(rig) if rig.pws() == pws.as_slice() => {
-                        if stale || moved {
+                    page = Some(fault);
+                    // A fault may have disturbed nothing, but re-prime
+                    // for hygiene before the real step.
+                    if let Some(rig) = rig.as_mut() {
+                        if !pws.is_empty() {
                             rig.prime(core)?;
                         }
                     }
-                    _ => rig.insert(AttackerRig::new(pws.clone())?).calibrate(core)?,
                 }
-                #[cfg(test)]
-                tests::check_ready(rig.as_ref().expect("set above"), core, moved);
-                stale = false;
+                StepExit::Wedged => {
+                    return Err(AttackError::probe_failed(ProbeFailureCause::ChainWedged))
+                }
+                _ => break step,
             }
-            // Step (handling controlled-channel faults transparently).
-            let step = loop {
-                let step = enclave.single_step(core);
-                match step.exit {
-                    StepExit::PageFault { page } => {
-                        for &p in &pages {
-                            enclave.page_table_mut().set_executable(p, p == page);
-                        }
-                        // A fault may have disturbed nothing, but re-prime
-                        // for hygiene before the real step.
-                        if let Some(rig) = rig.as_mut() {
-                            if !pws.is_empty() {
-                                rig.prime(core)?;
-                            }
-                        }
-                    }
-                    StepExit::Wedged => {
-                        return Err(AttackError::probe_failed(ProbeFailureCause::ChainWedged))
-                    }
-                    _ => break step,
-                }
-            };
-            // Probe.
-            if !pws.is_empty() {
-                if let Some(rig) = rig.as_mut() {
-                    let matched = rig.probe(core)?;
-                    record(state, &pws, &matched);
-                }
-            }
-            if matches!(step.exit, StepExit::Finished) {
-                return Ok(());
+        };
+        // Probe.
+        if !pws.is_empty() {
+            if let Some(rig) = rig.as_mut() {
+                let matched = rig.probe(core)?;
+                pass.record(&mut steps[index], &pws, &matched);
             }
         }
-        Err(AttackError::probe_failed(
-            ProbeFailureCause::StepBudgetExhausted {
-                consumed: MAX_STEPS as u64,
-                limit: MAX_STEPS as u64,
-            },
-        ))
+        if pass == Pass::Recon {
+            let page = page.ok_or(AttackError::probe_failed(ProbeFailureCause::ChainWedged))?;
+            steps.push(StepState {
+                page,
+                data_access: !step.data_pages.is_empty(),
+                candidate: None,
+                resolved: None,
+            });
+        }
+        if matches!(step.exit, StepExit::Finished) {
+            return Ok(());
+        }
     }
+    Err(AttackError::probe_failed(
+        ProbeFailureCause::StepBudgetExhausted {
+            consumed: MAX_STEPS as u64,
+            limit: MAX_STEPS as u64,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -611,6 +517,12 @@ mod tests {
         asm.halt();
     }
 
+    fn straight_line_program() -> Program {
+        let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
+        straight_line(&mut asm);
+        asm.finish().unwrap()
+    }
+
     #[test]
     fn straight_line_code_extracted_exactly() {
         let (trace, truth) = extract(straight_line);
@@ -640,9 +552,7 @@ mod tests {
         // and 5 times; the final run moves at each of its six distinct
         // two-byte windows (6). No run starts on the windows the previous
         // one ended with, so none re-primes a kept rig.
-        let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
-        straight_line(&mut asm);
-        let mut enclave = Enclave::new(asm.finish().unwrap());
+        let mut enclave = Enclave::new(straight_line_program());
         let mut core = Core::new(UarchConfig::default());
         core.attach_obs(Recorder::new(0));
         let trace = NvSupervisor::default()
@@ -656,6 +566,35 @@ mod tests {
         assert_eq!(spans(Phase::Prime), 21 + 15 + (1 + 3 + 5) + 6);
     }
 
+    /// The steps the reconnaissance run finds in `enclave`.
+    fn recon(enclave: &mut Enclave, core: &mut Core) -> Vec<StepState> {
+        let mut steps = Vec::new();
+        stepped_run(Pass::Recon, enclave, core, &mut None, &mut steps).unwrap();
+        steps
+    }
+
+    #[test]
+    fn three_windows_per_call_run_fig_10s_count_with_a_remainder_group() {
+        // 128 windows in groups of three: 42 full groups and one of two.
+        // The runs are 1 recon + 43 sweeps + 4 halvings + 1 final byte, and
+        // a rig is calibrated once per shape: 3 x 32 B, 2 x 32 B, then one
+        // window of 16, 8, 4 and 2 B.
+        let mut enclave = Enclave::new(straight_line_program());
+        let mut core = Core::new(UarchConfig::default());
+        core.attach_obs(Recorder::new(0));
+        let trace = NvSupervisor::new(SupervisorConfig {
+            windows_per_call: 3,
+        })
+        .extract_trace(&mut enclave, &mut core)
+        .unwrap();
+        assert_eq!(trace.len(), 6);
+        let metrics = core.detach_obs().unwrap().metrics();
+        let spans = |phase| metrics.phase(phase).map_or(0, |stats| stats.count);
+        assert_eq!(spans(Phase::Custom("recon")), 1);
+        assert_eq!(spans(Phase::Custom("extraction_run")), 43 + 4 + 1);
+        assert_eq!(spans(Phase::Calibrate), 6);
+    }
+
     #[test]
     fn a_rig_kept_across_runs_is_calibrated_once() {
         // Three runs measure every step of the straight-line program
@@ -665,33 +604,33 @@ mod tests {
         // re-primes it at its first step (the victim ran to completion in
         // between) and again after the page fault on entry, like the first
         // run. The deterministic re-executions read the same matches.
-        let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
-        straight_line(&mut asm);
-        let mut enclave = Enclave::new(asm.finish().unwrap());
+        let mut enclave = Enclave::new(straight_line_program());
         let mut core = Core::new(UarchConfig::default());
-        let supervisor = NvSupervisor::default();
-        let mut steps = supervisor.reconnaissance(&mut enclave, &mut core).unwrap();
+        let steps = recon(&mut enclave, &mut core);
         assert_eq!(steps.len(), 6);
         let window = PwSpec::new(VirtAddr::new(0x40_0000), BLOCK_BYTES).unwrap();
         core.attach_obs(Recorder::new(0));
         let mut rig = None;
         let mut runs = Vec::new();
         for _ in 0..3 {
-            let mut matched = Vec::new();
-            supervisor
-                .stepped_run(
-                    &mut enclave,
-                    &mut core,
-                    &mut rig,
-                    &mut steps,
-                    |_, pws| pws.push(window),
-                    |_, _, hits| matched.push(hits[0]),
-                )
-                .unwrap();
+            let mut measured = steps.clone();
+            stepped_run(
+                Pass::Sweep(&[0]),
+                &mut enclave,
+                &mut core,
+                &mut rig,
+                &mut measured,
+            )
+            .unwrap();
             assert_eq!(rig.as_ref().map(AttackerRig::pws), Some(&[window][..]));
-            runs.push(matched);
+            runs.push(
+                measured
+                    .into_iter()
+                    .map(|s| s.candidate)
+                    .collect::<Vec<_>>(),
+            );
         }
-        assert_eq!(runs[0].len(), 6);
+        assert!(runs[0].iter().all(|c| *c == Some(0..32)), "{runs:?}");
         assert!(runs.iter().all(|run| *run == runs[0]), "{runs:?}");
         let metrics = core.detach_obs().unwrap().metrics();
         let spans = |phase| metrics.phase(phase).map_or(0, |stats| stats.count);
@@ -702,7 +641,8 @@ mod tests {
 
     #[test]
     fn an_unmeasured_step_is_not_reported_by_the_next_probe() {
-        // Step 1 runs inside the monitored window [64, 96) but measures
+        // Halving the candidate [64, 128) measures the window [64, 96).
+        // Step 1 runs inside it but has no candidate, so it measures
         // nothing; step 2 runs far from it. Step 2's probe must read
         // quiet: the rig is re-primed after the unmeasured step rather
         // than trusting the probe of step 0.
@@ -718,28 +658,15 @@ mod tests {
         asm.halt();
         let mut enclave = Enclave::new(asm.finish().unwrap());
         let mut core = Core::new(UarchConfig::default());
-        let supervisor = NvSupervisor::default();
-        let mut steps = supervisor.reconnaissance(&mut enclave, &mut core).unwrap();
+        let mut steps = recon(&mut enclave, &mut core);
         assert_eq!(steps.len(), 4);
-        steps[1].lo = u64::MAX;
-        let window = PwSpec::new(base.offset(64), BLOCK_BYTES).unwrap();
-        supervisor
-            .stepped_run(
-                &mut enclave,
-                &mut core,
-                &mut None,
-                &mut steps,
-                |state, pws| {
-                    if state.lo != u64::MAX {
-                        pws.push(window);
-                    }
-                },
-                |state, _, hits| state.resolved = Some(u64::from(hits[0])),
-            )
-            .unwrap();
-        let matched: Vec<_> = steps.iter().map(|state| state.resolved).collect();
-        assert_eq!(matched[1], None);
-        assert_eq!(matched[2], Some(0), "{matched:?}");
+        for (i, state) in steps.iter_mut().enumerate() {
+            state.candidate = (i != 1).then_some(64..128);
+        }
+        stepped_run(Pass::Halve, &mut enclave, &mut core, &mut None, &mut steps).unwrap();
+        let candidates: Vec<_> = steps.into_iter().map(|s| s.candidate).collect();
+        assert_eq!(candidates[1], None);
+        assert_eq!(candidates[2], Some(96..128), "{candidates:?}");
     }
 
     /// Extracts `program` on a core prepared by `arm` and returns the error
@@ -755,12 +682,6 @@ mod tests {
         let metrics = core.detach_obs().unwrap().metrics();
         let spans = |name| metrics.phase(Phase::Custom(name)).map_or(0, |s| s.count);
         (err, spans("recon"), spans("extraction_run"))
-    }
-
-    fn straight_line_program() -> Program {
-        let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
-        straight_line(&mut asm);
-        asm.finish().unwrap()
     }
 
     #[test]
@@ -883,10 +804,36 @@ mod tests {
     }
 
     #[test]
+    fn repeated_measurements_are_ruled_out() {
+        let pcs = [
+            Some(1),
+            Some(1),
+            Some(2),
+            None,
+            Some(2),
+            Some(3),
+            Some(3),
+            Some(3),
+        ];
+        let mut measured = pcs.map(|pc: Option<u64>| StepMeasurement {
+            pc: pc.map(VirtAddr::new),
+            page: 0,
+            data_access: false,
+        });
+        rule_out_repeats(&mut measured);
+        // Only a PC equal to the *next* step's goes; an unresolved step
+        // between two equal PCs keeps both.
+        assert_eq!(
+            measured.map(|m| m.pc.map(VirtAddr::value)),
+            [None, Some(1), Some(2), None, Some(2), None, None, Some(3)]
+        );
+    }
+
+    #[test]
     fn loop_iterations_appear_repeatedly() {
-        // Without the §6.3 rule-out, a tight loop's repeated PCs stay in
-        // the trace (polluted by speculated loop-back targets, so the
-        // *body* PC dominates); with it, consecutive duplicates collapse.
+        // A tight loop's repeated PCs are polluted by speculated loop-back
+        // targets, so the *body* PC dominates; the §6.3 rule-out keeps
+        // only the architecturally confirmed entry of each duplicate run.
         let mut asm = Assembler::new(VirtAddr::new(0x40_0000));
         asm.mov_ri(Reg::R0, 3);
         asm.label("loop");
@@ -895,44 +842,25 @@ mod tests {
         asm.jcc8(Cond::Ne, "loop");
         asm.halt();
         let program = asm.finish().unwrap();
-
-        let extract_with = |rule_out: bool| {
-            let mut enclave = Enclave::new(program.clone());
-            let mut core = Core::new(UarchConfig::default());
-            NvSupervisor::new(SupervisorConfig {
-                rule_out_repeats: rule_out,
-                ..SupervisorConfig::default()
-            })
+        let truth = Enclave::ground_truth_trace(program.clone(), UarchConfig::default());
+        let mut enclave = Enclave::new(program);
+        let mut core = Core::new(UarchConfig::default());
+        let trace = NvSupervisor::default()
             .extract_trace(&mut enclave, &mut core)
-            .unwrap()
-        };
-
-        let raw = extract_with(false);
-        let body = VirtAddr::new(0x40_0007);
-        let hits = raw.pcs().iter().filter(|&&pc| pc == body).count();
-        assert!(hits >= 3, "raw trace {:?}", raw.pcs());
+            .unwrap();
+        assert_eq!(trace.len(), truth.len(), "steps counted identically");
+        let pcs = trace.pcs();
+        assert!(pcs.contains(&VirtAddr::new(0x40_0007)), "{pcs:?}");
+        assert!(pcs.windows(2).all(|pair| pair[0] != pair[1]), "{pcs:?}");
 
         // Every extracted PC is a *valid executed instruction start*: the
         // §6.3 speculation ambiguity can substitute a speculated branch
         // target's PC (the paper's mismeasurement class) but never
         // fabricates mid-instruction addresses here.
-        let mut valid = [
-            VirtAddr::new(0x40_0000),
-            VirtAddr::new(0x40_0007),
-            VirtAddr::new(0x40_000b),
-            VirtAddr::new(0x40_0011),
-        ];
-        valid.sort();
-        for pc in raw.pcs() {
-            assert!(valid.binary_search(&pc).is_ok(), "bad pc {pc}");
+        let valid = [0x40_0000, 0x40_0007, 0x40_000b, 0x40_0011].map(VirtAddr::new);
+        for pc in pcs {
+            assert!(valid.contains(&pc), "bad pc {pc}");
         }
-
-        // The rule-out pass keeps only the architecturally confirmed
-        // entries of each duplicate run.
-        let ruled = extract_with(true);
-        assert!(ruled.pcs().len() < raw.pcs().len());
-        assert!(ruled.pcs().contains(&body));
-        assert_eq!(ruled.len(), raw.len(), "steps counted identically");
     }
 
     #[test]

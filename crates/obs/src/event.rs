@@ -264,28 +264,18 @@ impl EventKind {
     ];
 
     /// Whether this kind is emitted by the campaign fault-tolerance layer
-    /// rather than the simulated microarchitecture. Lifecycle kinds are
-    /// omitted from metrics JSON when their count is zero, so metrics from
-    /// unsupervised runs render byte-identically to before these kinds
-    /// existed.
-    pub fn is_campaign_lifecycle(self) -> bool {
+    /// or the extraction service (`nv-serve`) rather than the simulated
+    /// microarchitecture. Lifecycle kinds are omitted from metrics JSON
+    /// when their count is zero, so metrics from unsupervised runs render
+    /// byte-identically to before these kinds existed.
+    pub fn is_lifecycle(self) -> bool {
         matches!(
             self,
             EventKind::TrialRetried
                 | EventKind::TrialQuarantined
                 | EventKind::CheckpointAppended
                 | EventKind::CheckpointResumed
-        )
-    }
-
-    /// Whether this kind is emitted by the extraction-service layer
-    /// (`nv-serve`) rather than the simulated microarchitecture. Like the
-    /// campaign-lifecycle kinds, these are omitted from metrics JSON when
-    /// zero so pre-service metrics render byte-identically.
-    pub fn is_service_lifecycle(self) -> bool {
-        matches!(
-            self,
-            EventKind::CheckpointTorn
+                | EventKind::CheckpointTorn
                 | EventKind::JobAdmitted
                 | EventKind::JobRejected
                 | EventKind::JobResumed
@@ -473,33 +463,21 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_kinds_are_exactly_the_campaign_ones() {
+    fn lifecycle_kinds_are_exactly_the_campaign_and_serve_ones() {
         let lifecycle: Vec<_> = EventKind::ALL
             .iter()
-            .filter(|k| k.is_campaign_lifecycle())
+            .filter(|k| k.is_lifecycle())
             .map(|k| k.name())
             .collect();
         assert_eq!(
             lifecycle,
             [
+                // Campaign fault tolerance.
                 "trial_retried",
                 "trial_quarantined",
                 "checkpoint_appended",
-                "checkpoint_resumed"
-            ]
-        );
-    }
-
-    #[test]
-    fn service_lifecycle_kinds_are_exactly_the_serve_ones() {
-        let service: Vec<_> = EventKind::ALL
-            .iter()
-            .filter(|k| k.is_service_lifecycle())
-            .map(|k| k.name())
-            .collect();
-        assert_eq!(
-            service,
-            [
+                "checkpoint_resumed",
+                // The extraction service.
                 "checkpoint_torn",
                 "job_admitted",
                 "job_rejected",
@@ -511,10 +489,6 @@ mod tests {
                 "conn_idle_reaped"
             ]
         );
-        // The two lifecycle families are disjoint.
-        assert!(!EventKind::ALL
-            .iter()
-            .any(|k| k.is_campaign_lifecycle() && k.is_service_lifecycle()));
     }
 
     #[test]

@@ -264,10 +264,7 @@ impl Metrics {
         // metrics are byte-identical to the pre-fault-tolerance format.
         let events: Vec<String> = EventKind::ALL
             .iter()
-            .filter(|kind| {
-                (!kind.is_campaign_lifecycle() && !kind.is_service_lifecycle())
-                    || self.count(**kind) > 0
-            })
+            .filter(|kind| !kind.is_lifecycle() || self.count(**kind) > 0)
             .map(|kind| format!("\"{}\": {}", kind.name(), self.count(*kind)))
             .collect();
         out.push_str(&events.join(", "));

@@ -193,6 +193,22 @@ impl Client {
         Ok(Response::decode(&payload)?)
     }
 
+    /// Reads one response and lets `pick` take the frames the call
+    /// expects, handing any other back: an `error` frame is then
+    /// [`ClientError::Server`], anything else [`ClientError::Unexpected`].
+    fn expect<T>(
+        &mut self,
+        pick: impl FnOnce(Response) -> Result<T, Response>,
+    ) -> Result<T, ClientError> {
+        match pick(self.recv()?) {
+            Ok(value) => Ok(value),
+            Err(Response::Error { detail }) => Err(ClientError::Server { detail }),
+            Err(other) => Err(ClientError::Unexpected {
+                got: other.encode(),
+            }),
+        }
+    }
+
     /// Submits a job and reads the admission verdict.
     ///
     /// # Errors
@@ -227,14 +243,11 @@ impl Client {
             spec: *spec,
             idem,
         })?;
-        match self.recv()? {
+        self.expect(|response| match response {
             Response::Accepted { job, epoch } => Ok(Submission::Accepted { job, epoch }),
             Response::Rejected { reason } => Ok(Submission::Rejected(reason)),
-            Response::Error { detail } => Err(ClientError::Server { detail }),
-            other => Err(ClientError::Unexpected {
-                got: other.encode(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Reads the next frame of a job's update stream.
@@ -247,15 +260,10 @@ impl Client {
     ///
     /// Wire failure, a server `error` frame, or an out-of-protocol frame.
     pub fn next_update(&mut self) -> Result<Response, ClientError> {
-        match self.recv()? {
-            update @ (Response::Trial(_) | Response::Done(_) | Response::Cancelled { .. }) => {
-                Ok(update)
-            }
-            Response::Error { detail } => Err(ClientError::Server { detail }),
-            other => Err(ClientError::Unexpected {
-                got: other.encode(),
-            }),
-        }
+        self.expect(|response| match response {
+            Response::Trial(_) | Response::Done(_) | Response::Cancelled { .. } => Ok(response),
+            other => Err(other),
+        })
     }
 
     /// Submits and, if accepted, blocks until the job finishes.
@@ -310,13 +318,10 @@ impl Client {
         last_seen_seq: u64,
     ) -> Result<(u64, u64), ClientError> {
         self.send(&Request::ResumeStream { job, last_seen_seq })?;
-        match self.recv()? {
+        self.expect(|response| match response {
             Response::Resuming { epoch, oldest, .. } => Ok((epoch, oldest)),
-            Response::Error { detail } => Err(ClientError::Server { detail }),
-            other => Err(ClientError::Unexpected {
-                got: other.encode(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Heartbeat: round-trips `nonce` through the server. Keeps an
@@ -328,13 +333,10 @@ impl Client {
     /// Wire failure or an out-of-protocol frame.
     pub fn ping(&mut self, nonce: u64) -> Result<u64, ClientError> {
         self.send(&Request::Ping { nonce })?;
-        match self.recv()? {
+        self.expect(|response| match response {
             Response::Pong { nonce } => Ok(nonce),
-            Response::Error { detail } => Err(ClientError::Server { detail }),
-            other => Err(ClientError::Unexpected {
-                got: other.encode(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Cancels a job. Returns where the cancel landed: `"queued"` (never
@@ -347,13 +349,10 @@ impl Client {
     /// Wire failure or an out-of-protocol frame.
     pub fn cancel(&mut self, job: u64) -> Result<String, ClientError> {
         self.send(&Request::Cancel { job })?;
-        match self.recv()? {
+        self.expect(|response| match response {
             Response::Cancelled { state, .. } => Ok(state),
-            Response::Error { detail } => Err(ClientError::Server { detail }),
-            other => Err(ClientError::Unexpected {
-                got: other.encode(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Queries a job's lifecycle state and digest.
@@ -363,13 +362,10 @@ impl Client {
     /// Wire failure or an out-of-protocol frame.
     pub fn status(&mut self, job: u64) -> Result<(String, u64), ClientError> {
         self.send(&Request::Status { job })?;
-        match self.recv()? {
+        self.expect(|response| match response {
             Response::Status { state, digest, .. } => Ok((state, digest)),
-            Response::Error { detail } => Err(ClientError::Server { detail }),
-            other => Err(ClientError::Unexpected {
-                got: other.encode(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Fetches server-wide counters and metrics.
@@ -379,13 +375,10 @@ impl Client {
     /// Wire failure or an out-of-protocol frame.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
         self.send(&Request::Stats)?;
-        match self.recv()? {
+        self.expect(|response| match response {
             Response::Stats(stats) => Ok(stats),
-            Response::Error { detail } => Err(ClientError::Server { detail }),
-            other => Err(ClientError::Unexpected {
-                got: other.encode(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Asks the server to drain: finish what is queued, reject new work.
@@ -396,13 +389,10 @@ impl Client {
     /// Wire failure or an out-of-protocol frame.
     pub fn drain(&mut self) -> Result<u64, ClientError> {
         self.send(&Request::Drain)?;
-        match self.recv()? {
+        self.expect(|response| match response {
             Response::Draining { pending } => Ok(pending),
-            Response::Error { detail } => Err(ClientError::Server { detail }),
-            other => Err(ClientError::Unexpected {
-                got: other.encode(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 }
 
