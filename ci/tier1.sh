@@ -182,8 +182,12 @@ EOF
 # NV-S pins changed when a rig began to be calibrated once per shape
 # instead of at every move: the calibration counts and the core steps
 # they cost feed the digest, while every probe and resolved PC stayed.
+# serve-small is pinned on a second seed too: its job runner starts every
+# trial from one calibrated core and pre-decoded fragments, and a held-out
+# job mix guards that shortcut.
 for pinned in nvs-extract:1:554bfd506d6fe2e0 nvs-extract:20231017:71e18a141d316ef5 \
-    nvu-leak:1:7d5c6f24a0386ae1 serve-small:1:67f1c20a4532be6c; do
+    nvu-leak:1:7d5c6f24a0386ae1 serve-small:1:67f1c20a4532be6c \
+    serve-small:20231017:f3af1b5c5339400f; do
     workload=${pinned%%:*}
     seed=${pinned#*:}
     seed=${seed%%:*}

@@ -70,8 +70,13 @@ pub fn unescape(escaped: &str) -> Option<String> {
 /// The text after `"key": ` in a flat object body (its first occurrence;
 /// string values are [`escape`]d, so field content cannot spoof a key).
 fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": ");
-    Some(&body[body.find(&needle)? + needle.len()..])
+    // The needle `"key": `, matched in place rather than built.
+    let key = key.as_bytes();
+    let len = key.len() + 4;
+    let at = body.as_bytes().windows(len).position(|window| {
+        window[0] == b'"' && &window[1..=key.len()] == key && window[key.len() + 1..] == *b"\": "
+    })?;
+    Some(&body[at + len..])
 }
 
 /// Reads the decimal `u64` value of `"key"` in a flat object body.
@@ -214,6 +219,28 @@ mod tests {
             trace.contains(r#"{"name": "lane \"a\"\nb\u0001"}"#),
             "{trace}"
         );
+    }
+
+    #[test]
+    fn field_lookup_finds_the_first_real_key() {
+        // The key also sits inside an escaped string value, as a suffix of
+        // another key, and twice for real; the first real one wins.
+        let value = escape("\"value\": 7, \"value\": \"x\"");
+        let body = format!(
+            "\"note\": \"{value}\", \"trial_value\": 1, \"value\": 42, \"value\": 43, \
+             \"label\": \"a\\\"b\", \"done\": true"
+        );
+        assert_eq!(field_u64(&body, "value"), Some(42));
+        assert_eq!(field_u64(&body, "trial_value"), Some(1));
+        assert_eq!(
+            field_str(&body, "note").as_deref(),
+            Some("\"value\": 7, \"value\": \"x\"")
+        );
+        assert_eq!(field_str(&body, "label").as_deref(), Some("a\"b"));
+        assert_eq!(field_bool(&body, "done"), Some(true));
+        assert_eq!(field_u64(&body, "missing"), None);
+        assert_eq!(field_u64(&body, "alue"), None);
+        assert_eq!(field_u64("", "value"), None);
     }
 
     #[test]

@@ -28,9 +28,9 @@ use nightvision::{
     AttackError, CampaignCheckpoint, CheckpointError, FailurePolicy, NvCore, NvSupervisor, PwSpec,
     Resilience, SupervisorConfig, TrialOutcome,
 };
-use nv_isa::{Assembler, VirtAddr};
+use nv_isa::{Assembler, Program, VirtAddr};
 use nv_os::Enclave;
-use nv_uarch::{Core, Machine, UarchConfig};
+use nv_uarch::{Core, DecodedImage, Machine, UarchConfig};
 use nv_victims::{GcdVictim, VictimConfig};
 
 use crate::proto::{JobReport, TrialUpdate};
@@ -154,9 +154,7 @@ impl From<CheckpointError> for JobError {
 }
 
 /// The NV-Core probed chain, assembled and pre-decoded once per process
-/// but never calibrated: every trial calibrates its own clone on the
-/// trial's fresh core, so each trial value is what a chain built for that
-/// trial alone would measure.
+/// but never calibrated; [`snapshot`] calibrates a clone once.
 fn nv_core_chain() -> &'static NvCore {
     static CHAIN: OnceLock<NvCore> = OnceLock::new();
     CHAIN.get_or_init(|| {
@@ -167,29 +165,103 @@ fn nv_core_chain() -> &'static NvCore {
     })
 }
 
+/// The state every NV-Core trial starts from: a clone of the chain
+/// calibrated on a fresh default core, and that core.
+///
+/// Calibration is deterministic and no trial input reaches it, so a clone
+/// of this pair holds bit for bit what a trial that built its own core and
+/// calibrated its own chain there would hold: predictors, LBR, statistics
+/// and baselines alike.
+fn snapshot() -> &'static (Core, NvCore) {
+    static SNAPSHOT: OnceLock<(Core, NvCore)> = OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
+        let mut core = Core::new(UarchConfig::default());
+        let mut nv = nv_core_chain().clone();
+        nv.begin(&mut core)
+            .expect("the NV-Core chain calibrates on a fresh core");
+        (core, nv)
+    })
+}
+
+/// Nop counts a victim fragment may have: `MIN_NOPS` plus a draw below
+/// `NOP_COUNTS`.
+const MIN_NOPS: usize = 8;
+const NOP_COUNTS: usize = 96;
+
+/// The victim fragment at `entry`: `nops` nops and a halt.
+fn fragment_program(entry: u64, nops: usize) -> Program {
+    let mut asm = Assembler::new(VirtAddr::new(entry));
+    for _ in 0..nops {
+        asm.nop();
+    }
+    asm.halt();
+    asm.finish().expect("victim fragment assembles")
+}
+
+/// The victim fragment of `nops` nops at `MON - below`: the image
+/// pre-decoded at `MON` for that nop count (on its first use, then shared
+/// by every trial) moved down with its PC at the moved entry.
+fn fragment(below: u64, nops: usize) -> Machine {
+    static IMAGES: [OnceLock<Arc<DecodedImage>>; NOP_COUNTS] =
+        [const { OnceLock::new() }; NOP_COUNTS];
+    let image = IMAGES[nops - MIN_NOPS]
+        .get_or_init(|| Arc::new(DecodedImage::new(fragment_program(MON, nops))));
+    let mut victim = Machine::from_image(Arc::clone(image));
+    // Moving copies the shared image, so a fragment at `MON` stays put.
+    if below > 0 {
+        victim.rebase(-(below as i64));
+        victim.state_mut().set_pc(VirtAddr::new(MON - below));
+    }
+    victim
+}
+
+/// A core and calibrated chain to measure with, supervised exactly as a
+/// fresh core whose watchdog and cancel flag were attached before the
+/// chain calibrated on it.
+fn calibrated(
+    trial: &Trial,
+    cancel: Option<&Arc<AtomicBool>>,
+) -> Result<(Core, NvCore), AttackError> {
+    let (snapshot_core, snapshot_nv) = snapshot();
+    // Calibration polls the watchdog before each of its chain runs. A
+    // budget it could spend must meet those polls, so such a trial
+    // calibrates on a core of its own.
+    let own = trial
+        .deadline
+        .is_some_and(|limit| limit <= snapshot_core.stats().steps);
+    let (mut core, mut nv) = if own {
+        (Core::new(UarchConfig::default()), nv_core_chain().clone())
+    } else {
+        (snapshot_core.clone(), snapshot_nv.clone())
+    };
+    // Armed from step 0, the watchdog counts the snapshot's calibration
+    // steps as the trial's own.
+    if let Some(limit) = trial.deadline {
+        core.arm_watchdog_from(limit, 0);
+    }
+    if let Some(flag) = cancel {
+        core.set_cancel_flag(Arc::clone(flag));
+    }
+    if own {
+        nv.begin(&mut core)?;
+    } else {
+        // Calibration's first poll: with the budget above its steps, only
+        // a raised cancel flag fails it.
+        AttackError::check_deadline(&core)?;
+    }
+    Ok((core, nv))
+}
+
 /// One clean NV-Core overlap measurement driven by the trial's stream;
 /// returns a compact signature of the verdicts plus the geometry that
 /// produced them, so resume identity is checkable bit-for-bit.
 fn nv_core_trial(trial: &mut Trial, cancel: Option<&Arc<AtomicBool>>) -> Result<u64, AttackError> {
-    let mut core = Core::new(UarchConfig::default());
-    trial.arm(&mut core);
-    if let Some(flag) = cancel {
-        core.set_cancel_flag(Arc::clone(flag));
-    }
     let below = trial.rng.gen_range(0..4u64) * 0x40;
-    let nops = 8 + trial.rng.gen_range(0..96u64) as usize;
-    let entry = MON - below;
-    let mut nv = nv_core_chain().clone();
-    nv.begin(&mut core)?;
+    let nops = MIN_NOPS + trial.rng.gen_range(0..NOP_COUNTS as u64) as usize;
+    let (mut core, mut nv) = calibrated(trial, cancel)?;
     let matched = nv.measure(&mut core, |core| {
         core.reset_frontend();
-        let mut asm = Assembler::new(VirtAddr::new(entry));
-        for _ in 0..nops {
-            asm.nop();
-        }
-        asm.halt();
-        let mut victim = Machine::new(asm.finish().expect("victim fragment assembles"));
-        core.run(&mut victim, 4_000);
+        core.run(&mut fragment(below, nops), 4_000);
     })?;
     let mut signature = 0u64;
     for (i, hit) in matched.iter().enumerate() {
@@ -361,6 +433,123 @@ pub fn run_job(
 mod tests {
     use super::*;
     use std::sync::Mutex;
+
+    /// The NV-Core trial as it ran before trials started from
+    /// [`snapshot`]: a fresh core, a clone of the chain calibrated on it
+    /// and a victim fragment assembled for the trial alone. Every served
+    /// trial must match it, values and errors alike.
+    fn nv_core_trial_oracle(
+        trial: &mut Trial,
+        cancel: Option<&Arc<AtomicBool>>,
+    ) -> Result<u64, AttackError> {
+        let mut core = Core::new(UarchConfig::default());
+        trial.arm(&mut core);
+        if let Some(flag) = cancel {
+            core.set_cancel_flag(Arc::clone(flag));
+        }
+        let below = trial.rng.gen_range(0..4u64) * 0x40;
+        let nops = 8 + trial.rng.gen_range(0..96u64) as usize;
+        let entry = MON - below;
+        let mut nv = nv_core_chain().clone();
+        nv.begin(&mut core)?;
+        let matched = nv.measure(&mut core, |core| {
+            core.reset_frontend();
+            let mut asm = Assembler::new(VirtAddr::new(entry));
+            for _ in 0..nops {
+                asm.nop();
+            }
+            asm.halt();
+            let mut victim = Machine::new(asm.finish().expect("victim fragment assembles"));
+            core.run(&mut victim, 4_000);
+        })?;
+        let mut signature = 0u64;
+        for (i, hit) in matched.iter().enumerate() {
+            signature |= (*hit as u64) << i;
+        }
+        Ok(signature << 32 | (below / 0x40) << 16 | nops as u64)
+    }
+
+    #[test]
+    fn served_trials_match_the_oracle_under_every_deadline_and_cancel() {
+        // The deadlines straddle the snapshot's calibration steps `S`: one
+        // that calibration spends at its second poll, two that it leaves
+        // just unspent or spends exactly, one a fragment spends, and the
+        // served default.
+        let s = snapshot().0.stats().steps;
+        assert!(s > 1, "calibration retires steps: {s}");
+        let deadlines = [
+            None,
+            Some(1),
+            Some(s - 1),
+            Some(s),
+            Some(s + 1),
+            Some(20_000),
+        ];
+        let raised = Arc::new(AtomicBool::new(true));
+        let (mut completed, mut deadline, mut cancelled) = (0, 0, 0);
+        for index in 0..512 {
+            for deadline_steps in deadlines {
+                for cancel in [None, Some(&raised)] {
+                    let trial = || Trial {
+                        index,
+                        rng: nv_rand::Rng::stream(0x0dd_0c1e, index as u64),
+                        deadline: deadline_steps,
+                    };
+                    let served = nv_core_trial(&mut trial(), cancel);
+                    let oracle = nv_core_trial_oracle(&mut trial(), cancel);
+                    assert_eq!(
+                        served,
+                        oracle,
+                        "trial {index}, deadline {deadline_steps:?}, cancel {}",
+                        cancel.is_some()
+                    );
+                    match oracle {
+                        Ok(_) => completed += 1,
+                        Err(AttackError::DeadlineExceeded { .. }) => deadline += 1,
+                        Err(AttackError::Cancelled) => cancelled += 1,
+                        Err(err) => panic!("unexpected oracle error: {err}"),
+                    }
+                }
+            }
+        }
+        // Every case must be exercised, not just agreed on: the two ample
+        // budgets complete, the four tight ones fail on their deadline.
+        assert_eq!(
+            (completed, deadline, cancelled),
+            (2 * 512, 4 * 512, 6 * 512)
+        );
+    }
+
+    #[test]
+    fn cached_fragments_equal_freshly_assembled_ones() {
+        for below in [0, 0x40, 0x80, 0xc0] {
+            for nops in MIN_NOPS..MIN_NOPS + NOP_COUNTS {
+                let what = format!("below {below:#x}, {nops} nops");
+                let mut cached = fragment(below, nops);
+                let mut fresh = Machine::new(fragment_program(MON - below, nops));
+                assert_eq!(cached.image(), fresh.image(), "{what}");
+                assert_eq!(cached.program(), fresh.program(), "{what}");
+                assert_eq!(
+                    cached.program().entry(),
+                    Some(VirtAddr::new(MON - below)),
+                    "{what}"
+                );
+                assert_eq!(cached.program().entry(), fresh.program().entry(), "{what}");
+                assert_eq!(cached.pc(), fresh.pc(), "{what}");
+                assert_eq!(cached.state(), fresh.state(), "{what}");
+
+                let twin = |victim: &mut Machine| {
+                    let mut core = snapshot().0.clone();
+                    core.reset_frontend();
+                    let exit = core.run(victim, 4_000);
+                    let (older, newer) = core.lbr().as_slices();
+                    let lbr = [older, newer].concat();
+                    (exit, core.stats(), core.btb().stats(), lbr)
+                };
+                assert_eq!(twin(&mut cached), twin(&mut fresh), "{what}");
+            }
+        }
+    }
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let mut path = std::env::temp_dir();

@@ -339,9 +339,18 @@ impl Core {
     /// poll [`Core::watchdog_expired`] (the attack layers do this at the
     /// top of every run loop) and bail out with a typed deadline error.
     pub fn arm_watchdog(&mut self, limit_steps: u64) {
+        self.arm_watchdog_from(limit_steps, self.stats.steps);
+    }
+
+    /// Arms the watchdog like [`Core::arm_watchdog`], but counts the budget
+    /// from step total `armed_at` instead of the current one, so the steps
+    /// retired since then are already consumed. A clone of a core that
+    /// retired `n` steps since [`Core::new`], armed from 0, is supervised
+    /// exactly as a fresh core armed before those `n` steps.
+    pub fn arm_watchdog_from(&mut self, limit_steps: u64, armed_at: u64) {
         self.watchdog = Some(WatchdogState {
             limit: limit_steps,
-            armed_at: self.stats.steps,
+            armed_at,
         });
     }
 
@@ -1025,6 +1034,22 @@ mod tests {
         core.arm_watchdog(100);
         assert_eq!(core.watchdog(), Some((0, 100)));
         assert!(!core.watchdog_expired());
+    }
+
+    #[test]
+    fn a_watchdog_armed_from_an_earlier_total_counts_the_steps_since() {
+        let mut machine = assemble(|asm| {
+            for _ in 0..8 {
+                asm.nop();
+            }
+            asm.halt();
+        });
+        let mut core = fresh_core();
+        core.run(&mut machine, 4);
+        core.arm_watchdog_from(6, 0);
+        assert_eq!(core.watchdog(), Some((4, 6)));
+        core.run(&mut machine, 2);
+        assert!(core.watchdog_expired());
     }
 
     #[test]
