@@ -15,6 +15,10 @@ cargo test -q --release --offline -p nv-uarch --features proptest
 # The §2 experiments (Fig. 2-4 claims) gate the same hot-path edits; they
 # live in nv-bench, so the line above does not run them.
 cargo test -q --release --offline -p nv-bench --test paper_experiments
+# Every repro stdout must stay byte-identical to its checked-in golden
+# file (crates/bench/tests/golden/); a change that moves an output edits
+# the file in the same diff. About 1.5 s in release.
+cargo test -q --release --offline -p nv-bench --test golden
 # The wide kill/resume sweep over random campaign shapes gates the
 # campaign engine (about 0.1 s once built).
 cargo test -q --release --offline --features proptest --test resilience --test campaign

@@ -10,11 +10,12 @@
 //! 2. **overload** — a tiny queue under a flood must answer the surplus
 //!    with *typed* `queue_full` rejections, the reported depth never
 //!    exceeding the cap, attempts = accepted + rejected exactly;
-//! 3. **kill/resume** — the server runs as a real child process
-//!    (this binary re-invoked with `--serve`) and is `SIGKILL`ed
-//!    mid-load; a restart on the same spool finishes every journaled
-//!    job with digests byte-identical to an uninterrupted baseline, at
-//!    server worker counts 1, 2 and 8.
+//! 3. **kill/resume** — the chaos kill drill at fault intensity 0: the
+//!    server runs as a real child process (this binary re-invoked with
+//!    `--serve`) and is `SIGKILL`ed mid-load; a restart on the same
+//!    spool finishes every journaled job, and the clients' sessions land
+//!    digests byte-identical to an uninterrupted baseline, at server
+//!    worker counts 1, 2 and 8.
 //!
 //! Writes `BENCH_serve.json` (override with `--out PATH`).
 //! Flags: `--jobs N` (small-job count),
@@ -22,9 +23,8 @@
 //! so CI does not dirty the checked-in baseline). `--serve --spool P
 //! --workers N` is the internal child-server mode.
 
-use nv_bench::serve_load::{
-    overload_demo, resume_demo, serve_if_child, throughput_demo, ServeReport,
-};
+use nv_bench::chaos_load::kill_drill;
+use nv_bench::serve_load::{overload_demo, serve_if_child, throughput_demo, ServeReport};
 use nv_bench::{write_output, Args};
 
 fn main() {
@@ -69,7 +69,7 @@ fn main() {
     );
 
     let exe = std::env::current_exe().expect("locate repro_serve binary");
-    let resume = resume_demo(&exe, &[1, 2, 8], resume_jobs, resume_trials);
+    let resume = kill_drill(&exe, &[1, 2, 8], resume_jobs, resume_trials, 0.0);
     for leg in &resume.legs {
         println!(
             "resume: workers {} -> {} job(s) resumed after SIGKILL, identical: {}",

@@ -11,10 +11,10 @@
 //!    surplus must bounce as *typed* `queue_full` rejections whose
 //!    reported depth never exceeds the cap, and the admission census
 //!    must balance exactly (attempts = accepted + rejected);
-//! 3. **kill/resume** — the server runs as a real child process and is
-//!    `SIGKILL`ed mid-load; a restart on the same spool must finish
-//!    every journaled job and reproduce byte-identical digests at
-//!    server worker counts 1, 2 and 8.
+//! 3. **kill/resume** — [`crate::chaos_load::kill_drill`] at fault
+//!    intensity 0: a real child-process server is `SIGKILL`ed mid-load,
+//!    and a restart on the same spool must finish every journaled job
+//!    with byte-identical digests at server worker counts 1, 2 and 8.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -28,6 +28,7 @@ use nv_serve::job::run_job;
 use nv_serve::proto::RejectReason;
 use nv_serve::{Client, JobSpec, Server, ServerConfig, Submission};
 
+use crate::chaos_load::ChaosResumeReport;
 use crate::Args;
 
 /// Seed base for the demo job population.
@@ -306,38 +307,6 @@ pub fn overload_demo(attempts: usize, trials: usize, queue_cap: usize) -> Overlo
     }
 }
 
-/// One worker-count leg of the kill/resume demo.
-#[derive(Clone, Debug)]
-pub struct ResumeLeg {
-    /// Server worker-pool size for this leg.
-    pub workers: usize,
-    /// Jobs the restarted server resumed from the journal.
-    pub resumed: u64,
-    /// Every job digest matched the uninterrupted baseline.
-    pub identical: bool,
-}
-
-/// The kill/resume demo across server worker counts.
-#[derive(Clone, Debug)]
-pub struct ServeResumeReport {
-    /// Jobs submitted per leg.
-    pub jobs: usize,
-    /// Trials per job.
-    pub trials: usize,
-    /// One leg per worker count.
-    pub legs: Vec<ResumeLeg>,
-    /// At least one leg actually had in-flight jobs at the kill — the
-    /// `SIGKILL` landed mid-load, not after quiescence.
-    pub kill_effective: bool,
-}
-
-impl ServeResumeReport {
-    /// Every leg reproduced the baseline digests exactly.
-    pub fn resume_identical(&self) -> bool {
-        self.legs.iter().all(|leg| leg.identical)
-    }
-}
-
 /// Spawns `exe --serve` as a child server process on `spool` and waits
 /// for its `LISTENING` line.
 pub(crate) fn spawn_server(exe: &Path, spool: &Path, workers: usize) -> (Child, SocketAddr) {
@@ -398,22 +367,6 @@ pub fn serve_if_child(args: &mut Args) {
     }
 }
 
-pub(crate) fn poll_status(addr: SocketAddr, job: u64, deadline: Duration) -> (String, u64) {
-    let started = Instant::now();
-    loop {
-        // Reconnect per poll: a status probe must not depend on the
-        // server's connection state across a kill.
-        if let Ok(mut client) = Client::connect(addr) {
-            if let Ok((state, digest)) = client.status(job) {
-                if state == "done" || state == "failed" || started.elapsed() > deadline {
-                    return (state, digest);
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 /// Polls `job`'s status, reconnecting per poll, until it leaves the
 /// queue: from then on a kill lands while the job runs, provided the job
 /// outlasts one status round trip.
@@ -431,81 +384,6 @@ pub(crate) fn wait_until_running(addr: SocketAddr, job: u64, deadline: Duration)
     }
 }
 
-/// Kills a real child-process server mid-load at each worker count and
-/// proves the restart reproduces byte-identical digests.
-///
-/// `exe` is the `repro_serve` binary itself (it doubles as the server
-/// via `--serve`).
-///
-/// # Panics
-///
-/// Panics on process or socket failure, or if a resumed job never
-/// finishes.
-pub fn resume_demo(
-    exe: &Path,
-    worker_counts: &[usize],
-    jobs: usize,
-    trials: usize,
-) -> ServeResumeReport {
-    let specs: Vec<JobSpec> = (0..jobs)
-        .map(|i| small_job(trials, SEED_BASE ^ 0x6b11 ^ i as u64))
-        .collect();
-    let baseline = baseline_digests(&specs);
-
-    let mut legs = Vec::new();
-    let mut resumed_total = 0u64;
-    for &workers in worker_counts {
-        let spool = scratch_dir(&format!("serve_resume_w{workers}"));
-
-        // Load the first life and SIGKILL it once the last job has
-        // started. Jobs start in submission order, so the kill leaves that
-        // job in flight as long as it runs longer than a status round
-        // trip; `trials` must size the jobs for that.
-        let (mut child, addr) = spawn_server(exe, &spool, workers);
-        for spec in &specs {
-            let mut client = Client::connect(addr).expect("connect submit client");
-            match client.submit("acme", spec).expect("submit to child server") {
-                Submission::Accepted { .. } => {}
-                Submission::Rejected(reason) => panic!("child rejected a sized load: {reason}"),
-            }
-            // The connection drops here; the job keeps running server-side.
-        }
-        wait_until_running(addr, jobs as u64, Duration::from_secs(120));
-        child.kill().expect("SIGKILL child server");
-        let _ = child.wait();
-
-        // Second life on the same spool: the journal re-queues whatever
-        // had not finished.
-        let (mut child, addr) = spawn_server(exe, &spool, workers);
-        let mut identical = true;
-        for (i, want) in baseline.iter().enumerate() {
-            let job = (i + 1) as u64;
-            let (state, digest) = poll_status(addr, job, Duration::from_secs(240));
-            assert_eq!(state, "done", "job {job} did not finish after restart");
-            identical &= digest == *want;
-        }
-        let mut stats_client = Client::connect(addr).expect("connect stats client");
-        let stats = stats_client.stats().expect("restarted server stats");
-        resumed_total += stats.resumed;
-        child.kill().expect("stop child server");
-        let _ = child.wait();
-        let _ = std::fs::remove_dir_all(&spool);
-
-        legs.push(ResumeLeg {
-            workers,
-            resumed: stats.resumed,
-            identical,
-        });
-    }
-
-    ServeResumeReport {
-        jobs,
-        trials,
-        legs,
-        kill_effective: resumed_total > 0,
-    }
-}
-
 /// The full demo suite, rendered to `BENCH_serve.json`.
 #[derive(Clone, Debug)]
 pub struct ServeReport {
@@ -513,8 +391,8 @@ pub struct ServeReport {
     pub throughput: ThroughputReport,
     /// Overload census.
     pub overload: OverloadReport,
-    /// Kill/resume identity.
-    pub resume: ServeResumeReport,
+    /// Kill/resume identity: the quiet kill drill.
+    pub resume: ChaosResumeReport,
 }
 
 impl ServeReport {

@@ -129,9 +129,9 @@ pub enum JobError {
         detail: String,
     },
     /// The job's cancellation flag was raised: a wire-level `Cancel` (or
-    /// a drain deadline) stopped the job. Completed trials stay in the
-    /// checkpoint, so an un-cancelled resubmission picks up where the
-    /// cancel landed.
+    /// a drain deadline) stopped the job. A cancelled job never runs
+    /// again, so the server deletes its checkpoint once the cancel is
+    /// journaled.
     Cancelled,
 }
 

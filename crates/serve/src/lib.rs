@@ -32,9 +32,11 @@
 //!   as a typed terminal state, never a dangling job.
 //!
 //! Layering: [`wire`] (framing) → [`proto`] (messages) → [`job`] (one
-//! job through the campaign engine) → [`journal`] (crash journal) →
-//! [`server`] / [`client`] → [`chaos`] (fault-injecting relay for tests
-//! and drills).
+//! job through the campaign engine) → the job table (every job's
+//! lifecycle, no I/O) → [`journal`] (crash journal, replayed through the
+//! table's own transitions) → [`server`] (threads, sockets and journal
+//! writes around the table) / [`client`] → [`chaos`] (fault-injecting
+//! relay for tests and drills).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +47,7 @@ pub mod job;
 pub mod journal;
 pub mod proto;
 pub mod server;
+mod table;
 pub mod wire;
 
 pub use chaos::{ChaosPlan, ChaosProxy, FaultCounts};
@@ -52,7 +55,7 @@ pub use client::{
     submit_resilient, Client, ClientError, FinishedJob, ResilientOutcome, RetryPolicy, Submission,
 };
 pub use job::{JobError, JobKind, JobSpec};
-pub use journal::{JobJournal, JournalState, PendingJob};
+pub use journal::JobJournal;
 pub use proto::{JobReport, RejectReason, Request, Response, ServerStats, TrialUpdate};
 pub use server::{Server, ServerConfig};
 pub use wire::{WireError, MAX_PAYLOAD};

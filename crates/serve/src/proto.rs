@@ -49,7 +49,8 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    fn tag(&self) -> &'static str {
+    /// The reason's stable snake_case label.
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             RejectReason::QueueFull { .. } => "queue_full",
             RejectReason::TenantQuota { .. } => "tenant_quota",
@@ -236,7 +237,8 @@ pub struct JobReport {
 /// Server-wide counters, snapshotted by [`Request::Stats`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ServerStats {
-    /// Jobs admitted (including journal-resumed ones).
+    /// Jobs admitted in this life (journal-resumed ones count as
+    /// `resumed` instead).
     pub submitted: u64,
     /// Jobs finished.
     pub completed: u64,

@@ -299,6 +299,13 @@ fn wire_cancel_lands_as_a_typed_terminal_and_survives_restart() {
     );
     let mut client = Client::connect(server.addr()).unwrap();
     assert_eq!(client.status(queued_job).unwrap().0, "cancelled");
+    // A cancelled job never runs again, so it keeps no checkpoint.
+    for job in [queued_job, running_job] {
+        assert!(
+            !spool.join(format!("job_{job}.ckpt")).exists(),
+            "cancelled job {job} left its checkpoint in the spool"
+        );
+    }
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&spool);
